@@ -34,7 +34,6 @@ from .checkers import (
     check_module,
     check_nhlp,
     check_skew_symmetry,
-    is_morphism,
 )
 from .constructions import (
     akivis_from_algebra,
@@ -106,7 +105,6 @@ __all__ = [
     "dumps_document",
     "full_check",
     "hom_associator",
-    "is_morphism",
     "is_multiplicative",
     "is_sign_commutative",
     "leibniz_from_dialgebra",

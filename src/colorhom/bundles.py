@@ -4,7 +4,8 @@ Each bundle kind matches one family of structures the checkers and
 constructions operate on.  Construction validates shape, grading
 compatibility and evenness eagerly, so a bundle in hand is always
 well-formed (the identities themselves are NOT assumed; that is what the
-checkers are for).
+checkers are for).  Bundles are frozen: the checkers store their reports
+on the bundle they certified.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from .errors import InputError
 from .grading import Bicharacter
 from .linalg import EvenMap, GradedSpace, MultilinearMap, Vector, check_evenness, is_endomorphism
-from .scalars import Scalar
 
 
 def _validate(space, bichar, named_ops, named_maps):
@@ -36,7 +36,7 @@ def _validate(space, bichar, named_ops, named_maps):
             raise InputError(f"{name} is not even: {rep.violations[0].describe()}")
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class NonAssocBundle:
     """Graded algebra with one bilinear product and a twist map; no
     identity is assumed (the raw input of the Akivis construction)."""
@@ -56,7 +56,7 @@ class NonAssocBundle:
         return [self.product]
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class AkivisBundle:
     """Binary bracket plus ternary companion with a twist map."""
 
@@ -77,7 +77,7 @@ class AkivisBundle:
         return [self.bracket, self.ternary]
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class LeibnizBundle:
     """One bracket and a twist map (left Leibniz law is checked, not assumed)."""
 
@@ -96,7 +96,7 @@ class LeibnizBundle:
         return [self.bracket]
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class NHLPBundle:
     """Bracket and associative-type product sharing one twist map."""
 
@@ -117,7 +117,7 @@ class NHLPBundle:
         return [self.product, self.bracket]
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class DialgebraBundle:
     """Two binary products with a twist map; ungraded by definition, so a
     graded basis is refused outright."""
@@ -141,7 +141,7 @@ class DialgebraBundle:
         return [self.prod_left, self.prod_right]
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class ModuleBundle:
     """Two-sided module over a Leibniz bundle.
 

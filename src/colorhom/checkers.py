@@ -8,14 +8,17 @@ always evaluated at the degrees of the original homogeneous arguments of
 the tuple under test; inner occurrences are table-driven and need no
 extra signs.
 
-Checkers accept ``jobs`` to split the tuple scan across worker threads;
-violations are merged and sorted canonically, so the report is identical
-for any job count.
+Checkers accept ``jobs`` for compatibility; every scan runs in one
+thread (worker threads were measured no faster under the interpreter
+lock), so the report is identical for any job count.  A checker that
+takes a bundle stores its report on that bundle, so each law is scanned
+at most once per bundle object however many callers ask for it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import functools
+import inspect
 
 from .bundles import (
     AkivisBundle,
@@ -29,7 +32,14 @@ from .bundles import (
 )
 from .errors import InputError
 from .grading import validate_bicharacter
-from .linalg import EvenMap, MultilinearMap, check_evenness, commutator_map, cyclic_sum
+from .linalg import (
+    EvenMap,
+    MultilinearMap,
+    check_evenness,
+    commutator_map,
+    cyclic_sum,
+    endomorphism_defects,
+)
 from .report import CheckReport, Violation, sorted_violations
 
 __all__ = [
@@ -45,8 +55,6 @@ __all__ = [
     "check_nhlp",
     "check_dialgebra",
     "check_module",
-    "is_morphism",
-    "commutes",
     "validate_bicharacter",
     "check_evenness",
 ]
@@ -54,29 +62,41 @@ __all__ = [
 
 def scan_identity(identity_id, keys, defect_fn, jobs=1, note="") -> CheckReport:
     """Evaluate defect_fn(key) -> Vector over all keys; nonzero defects
-    become violations.  jobs > 1 partitions the key list across threads;
-    the canonical sort keeps the result independent of the partition."""
-    keys = list(keys)
-    jobs = max(1, int(jobs))
-    if jobs == 1 or len(keys) < 2 * jobs:
-        found = [(k, defect_fn(k)) for k in keys]
-    else:
-        chunks = [keys[i::jobs] for i in range(jobs)]
-
-        def work(chunk):
-            return [(k, defect_fn(k)) for k in chunk]
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(work, chunks))
-        found = [pair for part in parts for pair in part]
-    violations = [Violation(k, d) for k, d in found if d]
+    become violations, sorted canonically.  ``jobs`` is accepted and
+    ignored: the scan runs in one thread."""
+    violations = []
+    for k in keys:
+        d = defect_fn(k)
+        if d:
+            violations.append(Violation(k, d))
     return CheckReport(identity_id, sorted_violations(violations), note=note)
+
+
+def _once_per_bundle(check):
+    """Store check's report on its bundle, keyed by the check and its
+    arguments other than ``jobs`` (reports never depend on ``jobs``).
+    Bundles are frozen, so a stored report cannot go stale."""
+    signature = inspect.signature(check)
+
+    @functools.wraps(check)
+    def memo(bundle, *args, **kwargs):
+        bound = signature.bind(bundle, *args, **kwargs)
+        bound.apply_defaults()
+        del bound.arguments["jobs"]
+        key = (check,) + bound.args[1:]
+        reports = vars(bundle).setdefault("_reports", {})
+        if key not in reports:
+            reports[key] = check(bundle, *args, **kwargs)
+        return reports[key]
+
+    return memo
 
 
 def _bracket_parts(b):
     return b.space, b.bichar, b.bracket, b.twist
 
 
+@_once_per_bundle
 def check_skew_symmetry(b, jobs=1) -> CheckReport:
     """bracket(x, y) + eps(x, y) * bracket(y, x) == 0 on all basis pairs."""
     space, eps, br, _ = _bracket_parts(b)
@@ -90,6 +110,7 @@ def check_skew_symmetry(b, jobs=1) -> CheckReport:
     return scan_identity("skew-symmetry", keys, defect, jobs)
 
 
+@_once_per_bundle
 def check_akivis_identity(b: AkivisBundle, jobs=1) -> CheckReport:
     """Cyclic bracket-of-bracket sum against the sign-mixed ternary sum:
 
@@ -119,6 +140,7 @@ def check_akivis_identity(b: AkivisBundle, jobs=1) -> CheckReport:
     return scan_identity("hom-akivis", space.tuples(3), defect, jobs)
 
 
+@_once_per_bundle
 def check_hom_lie(b, jobs=1) -> CheckReport:
     """sum_cyc eps(z,x) [[x,y], t(z)] == 0 (with eps-skew precondition)."""
     pre = check_skew_symmetry(b, jobs)
@@ -145,6 +167,7 @@ def _ternary_of(b) -> MultilinearMap:
     raise InputError(f"no ternary structure on bundle kind {b.kind!r}")
 
 
+@_once_per_bundle
 def check_flexible_alternative(b, mode="polarized", jobs=1) -> CheckReport:
     """Classify the ternary structure (the Hom-associator for algebra
     input, the ternary table for Akivis input).
@@ -224,6 +247,7 @@ def check_flexible_alternative(b, mode="polarized", jobs=1) -> CheckReport:
     )
 
 
+@_once_per_bundle
 def check_flexible_akivis_relation(b: AkivisBundle, mode="polarized", jobs=1) -> CheckReport:
     """For flexible bundles the cyclic bracket sum collapses onto the
     ternary table:
@@ -267,6 +291,7 @@ def check_hom_associativity(product: MultilinearMap, twist: EvenMap, jobs=1) -> 
     return scan_identity("hom-associativity", space.tuples(3), defect, jobs)
 
 
+@_once_per_bundle
 def check_color_leibniz(b, jobs=1) -> CheckReport:
     """Left Leibniz law with twist and signs:
 
@@ -286,6 +311,7 @@ def check_color_leibniz(b, jobs=1) -> CheckReport:
     return scan_identity("color-hom-leibniz", space.tuples(3), defect, jobs)
 
 
+@_once_per_bundle
 def check_leibniz_consequences(b: LeibnizBundle, jobs=1) -> CheckReport:
     """Two consequences of the Leibniz law, via the derived commutator
     [x,y] := x.y - eps(x,y) y.x of the Leibniz product:
@@ -322,6 +348,7 @@ def check_leibniz_consequences(b: LeibnizBundle, jobs=1) -> CheckReport:
     return CheckReport("leibniz-consequences", subreports=subs)
 
 
+@_once_per_bundle
 def check_nhlp(b: NHLPBundle, jobs=1) -> CheckReport:
     """Composite: Leibniz law for the bracket, Hom-associativity for the
     product, and the compatibility law
@@ -350,6 +377,7 @@ def check_nhlp(b: NHLPBundle, jobs=1) -> CheckReport:
     return CheckReport("nhlp", subreports=(leibniz, assoc, compat_rep), flags=flags)
 
 
+@_once_per_bundle
 def check_dialgebra(b: DialgebraBundle, jobs=1) -> CheckReport:
     """The five twisted axioms tying the two products together.  Numbered
     left to right as the defining chain of equalities decomposes."""
@@ -393,6 +421,7 @@ def check_dialgebra(b: DialgebraBundle, jobs=1) -> CheckReport:
     return CheckReport("dialgebra", subreports=subs)
 
 
+@_once_per_bundle
 def check_module(mb: ModuleBundle, jobs=1) -> CheckReport:
     """Two twist-compatibility laws and three action laws of a two-sided
     module over a Leibniz bundle.  Precondition: the algebra itself
@@ -459,36 +488,8 @@ def check_module(mb: ModuleBundle, jobs=1) -> CheckReport:
 def check_endomorphism(f: EvenMap, ops, jobs=1) -> CheckReport:
     """Report version of the endomorphism test: one violation per basis
     tuple where f fails to commute with a structure map."""
-    space = f.space
-    violations = []
-    images = [f.image_of_basis(j) for j in range(space.dim)]
-    for opn, op in enumerate(ops):
-        if any(sp != space for sp in op.spaces) or op.codomain != space:
-            raise InputError("endomorphism test needs internal maps on f's space")
-        for key in space.tuples(op.arity):
-            lhs = f(op.on_basis(*key))
-            rhs = op(*(images[i] for i in key))
-            if lhs != rhs:
-                violations.append(Violation(key, lhs - rhs, f"operation {opn}"))
+    violations = [
+        Violation(key, defect, f"operation {opn}")
+        for opn, key, defect in endomorphism_defects(f, ops)
+    ]
     return CheckReport("endomorphism", sorted_violations(violations))
-
-
-def is_morphism(f: EvenMap, src_ops, dst_ops) -> bool:
-    """f(op_src(e_i1 .. e_ik)) == op_dst(f e_i1 .. f e_ik) on all basis
-    tuples, for each corresponding pair of internal structure maps on f's
-    space."""
-    space = f.space
-    if len(src_ops) != len(dst_ops):
-        raise InputError("operation lists must pair up")
-    images = [f.image_of_basis(j) for j in range(space.dim)]
-    for src, dst in zip(src_ops, dst_ops):
-        if src.arity != dst.arity:
-            raise InputError("paired operations must share arity")
-        for key in space.tuples(src.arity):
-            if f(src.on_basis(*key)) != dst(*(images[i] for i in key)):
-                return False
-    return True
-
-
-def commutes(f: EvenMap, g: EvenMap) -> bool:
-    return f.compose(g) == g.compose(f)

@@ -216,7 +216,8 @@ def build_parser():
                    help="restrict to one identity (default: all for the kind)")
     p.add_argument("--report", choices=("text", "machine"), default="text")
     p.add_argument("--jobs", type=int, default=None,
-                   help=f"parallel scan threads (default ${JOBS_ENV} or 1)")
+                   help="job count, accepted for compatibility; scans run in one "
+                        f"thread and output never depends on it (default ${JOBS_ENV} or 1)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("construct", help="derive a new bundle and certify it")

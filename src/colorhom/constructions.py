@@ -137,11 +137,6 @@ def nhlp_scaled(b: NHLPBundle, k: Scalar, jobs=1) -> NHLPBundle:
     return out
 
 
-def nhlp_opposite_and_scale(b: NHLPBundle, k, jobs=1):
-    """Convenience pair (opposite bundle, scaled bundle)."""
-    return nhlp_opposite(b, jobs), nhlp_scaled(b, k, jobs)
-
-
 def trivial_extension(b: LeibnizBundle, jobs=1) -> NHLPBundle:
     """Adjoin a unit line to an ungraded Leibniz bundle:
 

@@ -33,7 +33,6 @@ from .checkers import (
     check_akivis_identity,
     check_color_leibniz,
     check_dialgebra,
-    check_endomorphism,
     check_evenness,
     check_flexible_alternative,
     check_flexible_akivis_relation,
@@ -478,11 +477,7 @@ def full_check(bundle, jobs=1):
         }
     elif kind == "module":
         results.append((check_module(bundle, jobs), False))
-        flags = {
-            "algebra_multiplicative": check_endomorphism(
-                bundle.algebra.twist, [bundle.algebra.bracket]
-            ).passed,
-        }
+        flags = {"algebra_multiplicative": is_multiplicative(bundle.algebra)}
     return results, flags
 
 

@@ -448,18 +448,24 @@ def cyclic_sum(expr, x, y, z):
     return expr(x, y, z) + expr(y, z, x) + expr(z, x, y)
 
 
-def is_endomorphism(f: EvenMap, ops) -> bool:
-    """Does f commute with every structure map in ops, i.e.
-    f(op(e_i1 .. e_ik)) == op(f e_i1, .., f e_ik) on all basis tuples?
-    Only meaningful for internal maps on f's space."""
+def endomorphism_defects(f: EvenMap, ops):
+    """Yield (operation index, basis tuple, defect) wherever f fails to
+    commute with a structure map in ops, i.e. wherever
+    f(op(e_i1 .. e_ik)) != op(f e_i1, .., f e_ik).  Only meaningful for
+    internal maps on f's space."""
     space = f.space
     images = [f.image_of_basis(j) for j in range(space.dim)]
-    for op in ops:
+    for opn, op in enumerate(ops):
         if any(sp != space for sp in op.spaces) or op.codomain != space:
             raise InputError("endomorphism test needs internal maps on f's space")
         for key in space.tuples(op.arity):
             lhs = f(op.on_basis(*key))
             rhs = op(*(images[i] for i in key))
             if lhs != rhs:
-                return False
-    return True
+                yield opn, key, lhs - rhs
+
+
+def is_endomorphism(f: EvenMap, ops) -> bool:
+    """Does f commute with every structure map in ops?  Stops at the
+    first failing basis tuple."""
+    return next(endomorphism_defects(f, ops), None) is None

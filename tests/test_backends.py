@@ -1,6 +1,11 @@
 """Bit-for-bit parity between the compiled kernel and its pure-Python
-twin, and the COLORHOM_BACKEND selection contract."""
+twin, and the COLORHOM_BACKEND selection contract.
 
+The pure-Python contract and the selection tests always run; only the
+tests that need the compiled ``colorhom._core`` skip when it is not
+built."""
+
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,13 +14,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import colorhom
 from colorhom import _core_py
 from colorhom._backend import BACKEND, kernel
 from colorhom.scalars import cyclotomic_field
 
-_core_c = pytest.importorskip(
-    "colorhom._core", reason="compiled extension unavailable in this build"
-)
+try:
+    from colorhom import _core as _core_c
+except ImportError:
+    _core_c = None
+
+
+def needs_core(reason):
+    return pytest.mark.skipif(
+        _core_c is None, reason=f"compiled colorhom._core not built: {reason}"
+    )
+
 
 FIELDS = [cyclotomic_field(n) for n in (1, 2, 3, 4, 8, 12)]
 
@@ -29,7 +43,14 @@ def vec_strategy(width):
     )
 
 
-@pytest.mark.parametrize("backend", [_core_py, _core_c])
+@pytest.mark.parametrize(
+    "backend",
+    [
+        pytest.param(_core_py, id="python"),
+        pytest.param(_core_c, id="cython",
+                     marks=needs_core("checks the compiled normalize contract")),
+    ],
+)
 def test_normalize_contract(backend):
     assert backend.normalize([2, 4], 6) == ((1, 2), 3)
     assert backend.normalize([-2, 4], -6) == ((1, -2), 3)
@@ -39,6 +60,7 @@ def test_normalize_contract(backend):
         backend.normalize([1], 0)
 
 
+@needs_core("compares the compiled kernels with _core_py")
 @settings(max_examples=300)
 @given(st.data())
 def test_kernels_agree_on_random_inputs(data):
@@ -94,6 +116,7 @@ def test_results_always_canonical(data):
         assert g == 1 or all(n == 0 for n in nums) and den == 1
 
 
+@needs_core("compares the compiled mul with _core_py on big integers")
 def test_big_integer_territory():
     # far past any fixed-width integer: both backends must agree exactly
     F = cyclotomic_field(4)
@@ -117,8 +140,16 @@ def _selected_backend(env_value):
         "print(BACKEND)\n"
     )
     return subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
     )
+
+
+def _child_env():
+    # the child imports the same colorhom as this test process
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(colorhom.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 def test_env_selects_python_backend():
@@ -127,6 +158,7 @@ def test_env_selects_python_backend():
     assert r.stdout.strip() == "python"
 
 
+@needs_core("COLORHOM_BACKEND=c requires the extension")
 def test_env_selects_compiled_backend():
     r = _selected_backend("c")
     assert r.returncode == 0
@@ -139,12 +171,14 @@ def test_env_rejects_unknown_backend():
     assert "COLORHOM_BACKEND" in r.stderr
 
 
+@needs_core("auto picks the extension only when it is built")
 def test_default_build_uses_compiled_kernel():
     # this repository builds the extension; auto must have picked it
     assert BACKEND == "cython"
     assert kernel.BACKEND_NAME == "cython"
 
 
+@needs_core("compares a scalar computation on both backends")
 def test_scalar_arithmetic_identical_across_backends():
     # one end-to-end scalar computation per backend, byte-compared
     code = (
@@ -162,6 +196,7 @@ def test_scalar_arithmetic_identical_across_backends():
             [sys.executable, "-c", code.format(sel=sel)],
             capture_output=True,
             text=True,
+            env=_child_env(),
         )
         assert r.returncode == 0, r.stderr
         outs.append(r.stdout)

@@ -17,7 +17,6 @@ from colorhom.constructions import (
     akivis_from_algebra,
     leibniz_from_dialgebra,
     nhlp_opposite,
-    nhlp_opposite_and_scale,
     nhlp_scaled,
     tensor_square_nhlp,
     trivial_extension,
@@ -264,7 +263,7 @@ def test_nhlp_scaled_rejects_zero():
 
 def test_opposite_and_scale_pair():
     b = _noncommutative_nhlp()
-    opp, sc = nhlp_opposite_and_scale(b, 3)
+    opp, sc = nhlp_opposite(b), nhlp_scaled(b, 3)
     assert table_of(opp.product) == {(0, 0): {0: "1"}, (1, 0): {1: "1"}}
     assert table_of(sc.product) == {(0, 0): {0: "3"}, (0, 1): {1: "3"}}
 
