@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import tables
 from .errors import InputError
 from .grading import Bicharacter
 from .linalg import EvenMap, GradedSpace, MultilinearMap, Vector, check_evenness, is_endomorphism
@@ -177,20 +178,28 @@ class ModuleBundle:
             raise InputError(f"module_twist is not even: {rep.violations[0].describe()}")
 
 
+def _associator(product: MultilinearMap, twist: EvenMap):
+    P, tw = tables.table(product), tables.twist(twist)
+    return tables.law(
+        product.codomain,
+        tables.twisted_right(1, P, P, tw),
+        tables.twisted_left(-1, P, P, tw),
+    )
+
+
 def hom_associator(product: MultilinearMap, twist: EvenMap, x, y, z) -> Vector:
     """product(product(x,y), twist(z)) - product(twist(x), product(y,z))
     on basis indices x, y, z."""
-    tx = twist.image_of_basis(x)
-    tz = twist.image_of_basis(z)
-    return product(product.on_basis(x, y), tz) - product(tx, product.on_basis(y, z))
+    return _associator(product, twist)((x, y, z)) or Vector.zero(product.codomain)
 
 
 def associator_map(product: MultilinearMap, twist: EvenMap) -> MultilinearMap:
     """Full ternary structure table of the twisted associator."""
     space = product.codomain
+    associator = _associator(product, twist)
     table = {}
     for key in space.tuples(3):
-        v = hom_associator(product, twist, *key)
+        v = associator(key)
         if v:
             table[key] = v
     return MultilinearMap.internal(space, 3, table)

@@ -76,6 +76,8 @@ def twist_akivis(b: AkivisBundle, beta: EvenMap, n: int, jobs=1) -> AkivisBundle
         b.ternary.map_values(b2n),
         bn.compose(b.twist),
     )
+    if out == b:  # a fixed point: keep the input and the reports stored on it
+        out = b
     _require(check_akivis_identity(out, jobs), "twist_akivis output")
     return out
 
@@ -94,6 +96,8 @@ def twist_nhlp(b: NHLPBundle, beta: EvenMap, n: int, jobs=1) -> NHLPBundle:
         b.bracket.map_values(bn),
         bn.compose(b.twist),
     )
+    if out == b:  # a fixed point: keep the input and the reports stored on it
+        out = b
     _require(check_nhlp(out, jobs), "twist_nhlp output")
     return out
 
@@ -109,6 +113,8 @@ def twist_leibniz(b: LeibnizBundle, beta: EvenMap, n: int, jobs=1) -> LeibnizBun
     out = LeibnizBundle(
         b.space, b.bichar, b.bracket.map_values(bn), bn.compose(b.twist)
     )
+    if out == b:  # a fixed point: keep the input and the reports stored on it
+        out = b
     _require(check_color_leibniz(out, jobs), "twist_leibniz output")
     return out
 
@@ -246,6 +252,8 @@ def twist_module(mb: ModuleBundle, jobs=1) -> ModuleBundle:
         MultilinearMap((M, A), M, right_table),
         mb.module_twist,
     )
+    if out == mb:  # a fixed point: keep the input and the reports stored on it
+        out = mb
     _require(check_module(out, jobs), "twist_module output")
     return out
 

@@ -182,7 +182,7 @@ class EvenMap:
     degree(i) == degree(j), which is what check_evenness verifies.
     """
 
-    __slots__ = ("space", "rows")
+    __slots__ = ("space", "rows", "_compiled")
 
     def __init__(self, space, rows):
         rows = tuple(
@@ -196,6 +196,7 @@ class EvenMap:
             raise InputError(f"matrix must be {space.dim}x{space.dim}")
         self.space = space
         self.rows = rows
+        self._compiled = None  # integer tables, built by colorhom.tables.twist
 
     @classmethod
     def identity(cls, space):
@@ -299,7 +300,7 @@ class MultilinearMap:
     values are never stored.
     """
 
-    __slots__ = ("spaces", "codomain", "table")
+    __slots__ = ("spaces", "codomain", "table", "_compiled")
 
     def __init__(self, spaces, codomain, table):
         spaces = tuple(spaces)
@@ -323,6 +324,7 @@ class MultilinearMap:
         self.spaces = spaces
         self.codomain = codomain
         self.table = clean
+        self._compiled = None  # integer tables, built by colorhom.tables.table
 
     @classmethod
     def internal(cls, space, arity, table):

@@ -11,7 +11,9 @@ import pytest
 
 from colorhom import checkers, cli, io
 from colorhom.checkers import check_flexible_alternative
+from colorhom.constructions import twist_leibniz
 from colorhom.fixtures import fixture, fixture_document, fixture_names
+from colorhom.linalg import EvenMap
 
 
 def fresh_bundle(name):
@@ -80,6 +82,14 @@ def test_cli_scans_no_pair_twice(scan_ledger, argv):
         assert cli.main(argv) == 0
     assert scan_ledger
     assert repeats(scan_ledger) == {}
+
+
+def test_twist_fixed_point_returns_input(scan_ledger):
+    b = fresh_bundle("leibniz-L2")
+    checkers.check_color_leibniz(b)
+    before = len(scan_ledger)
+    assert twist_leibniz(b, EvenMap.identity(b.space), 1) is b
+    assert len(scan_ledger) == before
 
 
 def test_stored_report_is_keyed_by_mode():
