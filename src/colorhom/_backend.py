@@ -1,28 +1,8 @@
-"""Select the arithmetic kernel backend at import time.
+"""The scalar arithmetic kernel: the pure-Python functions in ``_core_py``.
 
-Default: the compiled extension if it built, otherwise pure Python.
-COLORHOM_BACKEND=c forces the extension (ImportError if absent),
-COLORHOM_BACKEND=py forces the pure fallback.  Both backends implement
-the identical canonical-form contract, so the choice never changes
-results, only speed.
-"""
+``kernel`` is that module object itself, so every caller looks its
+functions up on one namespace."""
 
-import os
-
-_choice = os.environ.get("COLORHOM_BACKEND", "auto").strip().lower()
-
-if _choice in ("py", "python", "pure"):
-    from . import _core_py as kernel
-elif _choice in ("c", "cy", "cython", "compiled"):
-    from . import _core as kernel  # type: ignore[attr-defined]
-elif _choice in ("", "auto"):
-    try:
-        from . import _core as kernel  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _core_py as kernel
-else:
-    raise ImportError(
-        f"COLORHOM_BACKEND={_choice!r} not recognized (expected 'c', 'py' or 'auto')"
-    )
+from . import _core_py as kernel
 
 BACKEND = kernel.BACKEND_NAME

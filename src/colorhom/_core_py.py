@@ -4,10 +4,6 @@ A scalar in Q(zeta_N) is carried around as ``(nums, den)`` where ``nums``
 is a tuple of len == deg Phi_N integer numerators over the common positive
 denominator ``den``, fully reduced (gcd of all numerators and den is 1).
 Every kernel returns values already in that canonical form.
-
-``_core.pyx`` is the compiled twin of this module; both expose the same
-four functions plus BACKEND_NAME, and must agree bit-for-bit.  Selection
-happens in ``_backend``.
 """
 
 from math import gcd

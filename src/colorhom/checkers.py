@@ -14,7 +14,7 @@ products, so the scalar kernels are off the scan path.  Only a nonzero
 defect becomes an exact ``Vector`` in the report.  On the perfbench
 certify-dense workload this took a scanned tuple from 87 to 1.7 us and
 the workload from 9.6 to 68 documents/s (2-vCPU host, Python 3.11; the
-README's Backends section has the full figures).
+README's "Arithmetic engine" section has the full figures).
 
 Checkers accept ``jobs`` for compatibility; every scan runs in one
 thread (worker threads were measured no faster under the interpreter

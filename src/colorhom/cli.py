@@ -84,13 +84,13 @@ def _write_output(path, doc):
         fh.write(text)
 
 
-def _certified_output(bundle, jobs, extra_maps=None):
+def _certified_output(bundle, jobs):
     """Serialize a constructed bundle with its own full check report
     embedded.  Returns (document, report_passed)."""
-    doc = serialize_bundle(bundle, extra_maps=extra_maps)
+    doc = serialize_bundle(bundle)
     results, flags = full_check(bundle, jobs=jobs)
-    report = report_document(doc, results, flags)
-    return serialize_bundle(bundle, extra_maps=extra_maps, report=report), report["passed"]
+    doc["report"] = report_document(doc, results, flags)
+    return doc, doc["report"]["passed"]
 
 
 def _emit_report(report, fmt):

@@ -445,11 +445,6 @@ def commutator_map(product_map: MultilinearMap, bichar) -> MultilinearMap:
     return MultilinearMap(product_map.spaces, space, table)
 
 
-def cyclic_sum(expr, x, y, z):
-    """expr(x,y,z) + expr(y,z,x) + expr(z,x,y) for any Vector-valued expr."""
-    return expr(x, y, z) + expr(y, z, x) + expr(z, x, y)
-
-
 def endomorphism_defects(f: EvenMap, ops):
     """Yield (operation index, basis tuple, defect) wherever f fails to
     commute with a structure map in ops, i.e. wherever

@@ -10,6 +10,7 @@ these scalars are exact, never approximate.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -362,7 +363,14 @@ def scalar_from_text(field, data) -> Scalar:
     for item in data:
         if not isinstance(item, str) or not _FRACTION_RE.fullmatch(item):
             raise InputError(f"malformed rational {item!r} (expected 'p' or 'p/q')")
-        coeffs.append(Fraction(item))
+        try:
+            coeffs.append(Fraction(item))
+        except ValueError:
+            # only CPython's int-string limit gets past _FRACTION_RE
+            raise InputError(
+                f"rational of {len(item)} characters exceeds the limit of "
+                f"{sys.get_int_max_str_digits()} digits per integer"
+            ) from None
     return Scalar(field, coeffs)
 
 

@@ -12,6 +12,7 @@ import pytest
 
 import genutil as G
 from conftest import record_criterion
+from vector_laws import cyclic_sum
 from colorhom import cli, io
 from colorhom.bundles import (
     AkivisBundle,
@@ -51,7 +52,7 @@ from colorhom.grading import (
     TRIVIAL_GROUP,
     validate_bicharacter,
 )
-from colorhom.linalg import EvenMap, GradedSpace, MultilinearMap, Vector, cyclic_sum
+from colorhom.linalg import EvenMap, GradedSpace, MultilinearMap, Vector
 from colorhom.scalars import Scalar, cyclotomic_field
 
 FIELD = G.FIELD

@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from colorhom import checkers, cli, io
+from colorhom import checkers, cli, grading, io, linalg
 from colorhom.checkers import check_flexible_alternative
 from colorhom.constructions import twist_leibniz
 from colorhom.fixtures import fixture, fixture_document, fixture_names
@@ -107,3 +107,30 @@ def test_bundle_fields_are_frozen(name):
     field = dataclasses.fields(bundle)[-1].name
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(bundle, field, getattr(bundle, field))
+
+
+@pytest.mark.parametrize("name", ["akivis-A", "module-M"])
+def test_full_check_does_not_revalidate(monkeypatch, name):
+    """Building a bundle checks evenness and the bicharacter axioms;
+    full_check reports both from that guarantee without checking again."""
+    bundle = fresh_bundle(name)
+    calls = Counter()
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for fn in (linalg.check_evenness, grading.validate_bicharacter):
+        wrapped = counting(fn)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("colorhom"):
+                for attr, value in list(vars(mod).items()):
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, wrapped)
+    results, _ = io.full_check(bundle)
+    assert calls == Counter()
+    lines = {rep.identity_id: rep.passed for rep, _ in results[:2]}
+    assert lines == {"evenness": True, "bicharacter-axioms": True}

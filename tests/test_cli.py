@@ -45,6 +45,25 @@ def test_check_unknown_path_is_input_error(capsys):
     assert "error:" in err
 
 
+def test_check_oversized_integer_is_input_error(tmp_path, capsys):
+    # 5001 digits is past CPython's default int-string limit of 4300
+    doc = fixture_document("leibniz-L2")
+    doc["ops"]["bracket"][0]["out"]["0"] = "7" * 5001
+    p = tmp_path / "big.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", str(p))
+    assert code == 2
+    assert "document.ops.bracket[0].out.0" in err and "digits" in err
+
+
+def test_check_deeply_nested_document_is_input_error(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "check", str(p))
+    assert code == 2
+    assert "recursion limit" in err
+
+
 def test_check_machine_report_is_json(capsys):
     code, out, _ = run(capsys, "check", "fixtures/nonassoc-NA2", "--report", "machine")
     assert code == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vector_laws import cyclic_sum
 from colorhom.errors import InputError
 from colorhom.grading import Bicharacter, GradingGroup, TRIVIAL_GROUP
 from colorhom.linalg import (
@@ -14,7 +15,6 @@ from colorhom.linalg import (
     Vector,
     check_evenness,
     commutator_map,
-    cyclic_sum,
 )
 from colorhom.scalars import Scalar, cyclotomic_field
 

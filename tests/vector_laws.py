@@ -16,7 +16,12 @@ from colorhom.bundles import (
     NHLPBundle,
     NonAssocBundle,
 )
-from colorhom.linalg import commutator_map, cyclic_sum
+from colorhom.linalg import commutator_map
+
+
+def cyclic_sum(expr, x, y, z):
+    """expr(x,y,z) + expr(y,z,x) + expr(z,x,y) for any Vector-valued expr."""
+    return expr(x, y, z) + expr(y, z, x) + expr(z, x, y)
 
 
 def _vector_associator(product, twist, x, y, z):
