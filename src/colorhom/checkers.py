@@ -16,11 +16,10 @@ certify-dense workload this took a scanned tuple from 87 to 1.7 us and
 the workload from 9.6 to 68 documents/s (2-vCPU host, Python 3.11; the
 README's "Arithmetic engine" section has the full figures).
 
-Checkers accept ``jobs`` for compatibility; every scan runs in one
-thread (worker threads were measured no faster under the interpreter
-lock), so the report is identical for any job count.  A checker that
-takes a bundle stores its report on that bundle, so each law is scanned
-at most once per bundle object however many callers ask for it.
+Every scan runs in one thread: worker threads were measured 20-40%
+slower under the interpreter lock.  A checker that takes a bundle
+stores its report on that bundle, so each law is scanned at most once
+per bundle object however many callers ask for it.
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ __all__ = [
 
 def scan_identity(identity_id, keys, defect_fn, jobs=1, note="") -> CheckReport:
     """Evaluate defect_fn(key) -> Vector over all keys; nonzero defects
-    become violations, sorted canonically.  ``jobs`` is accepted and
-    ignored: the scan runs in one thread."""
+    become violations, sorted canonically.  ``jobs`` is ignored; it stays
+    only because the perfbench scan wrapper passes it positionally."""
     violations = []
     for k in keys:
         d = defect_fn(k)
@@ -83,15 +82,14 @@ def scan_identity(identity_id, keys, defect_fn, jobs=1, note="") -> CheckReport:
 
 def _once_per_bundle(check):
     """Store check's report on its bundle, keyed by the check and its
-    arguments other than ``jobs`` (reports never depend on ``jobs``).
-    Bundles are frozen, so a stored report cannot go stale."""
+    arguments with defaults applied (an omitted and a default ``mode``
+    share one key).  Bundles are frozen, so a stored report cannot go stale."""
     signature = inspect.signature(check)
 
     @functools.wraps(check)
     def memo(bundle, *args, **kwargs):
         bound = signature.bind(bundle, *args, **kwargs)
         bound.apply_defaults()
-        del bound.arguments["jobs"]
         key = (check,) + bound.args[1:]
         reports = vars(bundle).setdefault("_reports", {})
         if key not in reports:
@@ -117,7 +115,7 @@ def _rotations(sign, den, pick):
 
 
 @_once_per_bundle
-def check_skew_symmetry(b, jobs=1) -> CheckReport:
+def check_skew_symmetry(b) -> CheckReport:
     """bracket(x, y) + eps(x, y) * bracket(y, x) == 0 on all basis pairs."""
     space = b.space
     br, eps, unit = tables.table(b.bracket), _signs(b), tables.unit(space)
@@ -128,7 +126,7 @@ def check_skew_symmetry(b, jobs=1) -> CheckReport:
         (1, br.den * eps.den, lambda i, j: (E[i][j][j][i], unit)),
     )
     keys = [(i, j) for i in range(space.dim) for j in range(i, space.dim)]
-    return scan_identity("skew-symmetry", keys, defect, jobs)
+    return scan_identity("skew-symmetry", keys, defect)
 
 
 def _bracket_cycle(b, eps):
@@ -142,7 +140,7 @@ def _bracket_cycle(b, eps):
 
 
 @_once_per_bundle
-def check_akivis_identity(b: AkivisBundle, jobs=1) -> CheckReport:
+def check_akivis_identity(b: AkivisBundle) -> CheckReport:
     """Cyclic bracket-of-bracket sum against the sign-mixed ternary sum:
 
         sum_cyc eps(z,x) [[x,y], t(z)]
@@ -150,7 +148,7 @@ def check_akivis_identity(b: AkivisBundle, jobs=1) -> CheckReport:
 
     where t is the twist map and the cyclic sum re-evaluates prefactors at
     the rotated degrees.  Precondition: the bracket is eps-skew."""
-    pre = check_skew_symmetry(b, jobs)
+    pre = check_skew_symmetry(b)
     if not pre.passed:
         return CheckReport("hom-akivis", precondition_failure=pre)
     space = b.space
@@ -168,17 +166,17 @@ def check_akivis_identity(b: AkivisBundle, jobs=1) -> CheckReport:
         *_rotations(1, T.den * eps.den ** 2,
                     lambda x, y, z: (TEE[z][x][y][y][x][z], unit)),
     )
-    return scan_identity("hom-akivis", space.tuples(3), defect, jobs)
+    return scan_identity("hom-akivis", space.tuples(3), defect)
 
 
 @_once_per_bundle
-def check_hom_lie(b, jobs=1) -> CheckReport:
+def check_hom_lie(b) -> CheckReport:
     """sum_cyc eps(z,x) [[x,y], t(z)] == 0 (with eps-skew precondition)."""
-    pre = check_skew_symmetry(b, jobs)
+    pre = check_skew_symmetry(b)
     if not pre.passed:
         return CheckReport("hom-jacobi", precondition_failure=pre)
     defect = tables.law(b.space, *_bracket_cycle(b, _signs(b)))
-    return scan_identity("hom-jacobi", b.space.tuples(3), defect, jobs)
+    return scan_identity("hom-jacobi", b.space.tuples(3), defect)
 
 
 def _ternary_of(b) -> MultilinearMap:
@@ -190,7 +188,7 @@ def _ternary_of(b) -> MultilinearMap:
 
 
 @_once_per_bundle
-def check_flexible_alternative(b, mode="polarized", jobs=1) -> CheckReport:
+def check_flexible_alternative(b, mode="polarized") -> CheckReport:
     """Classify the ternary structure (the Hom-associator for algebra
     input, the ternary table for Akivis input).
 
@@ -226,7 +224,7 @@ def check_flexible_alternative(b, mode="polarized", jobs=1) -> CheckReport:
     ]
     literal = scan_identity("flexible-literal", literal_keys, tables.law(
         space, itself,
-        (1, T.den, lambda x, y, z: (Te[z][y][x] if x != z else (), unit))), jobs)
+        (1, T.den, lambda x, y, z: (Te[z][y][x] if x != z else (), unit))))
 
     polarized_keys = [
         (x, y, z)
@@ -235,7 +233,7 @@ def check_flexible_alternative(b, mode="polarized", jobs=1) -> CheckReport:
         for z in range(x, space.dim)
     ]
     polarized = scan_identity("flexible-polarized", polarized_keys, swapped(
-        lambda x, y, z: (TE[x][z][z][y][x], unit)), jobs)
+        lambda x, y, z: (TE[x][z][z][y][x], unit)))
 
     # the two adjacent swaps generate all permutations, so eps-alternating
     # reduces to these two families
@@ -243,9 +241,9 @@ def check_flexible_alternative(b, mode="polarized", jobs=1) -> CheckReport:
         "alternative",
         subreports=(
             scan_identity("alternative-first-pair", space.tuples(3), swapped(
-                lambda x, y, z: (TE[x][y][y][x][z], unit)), jobs),
+                lambda x, y, z: (TE[x][y][y][x][z], unit))),
             scan_identity("alternative-second-pair", space.tuples(3), swapped(
-                lambda x, y, z: (TE[y][z][x][z][y], unit)), jobs),
+                lambda x, y, z: (TE[y][z][x][z][y], unit))),
         ),
     )
     flags = {
@@ -263,7 +261,7 @@ def check_flexible_alternative(b, mode="polarized", jobs=1) -> CheckReport:
 
 
 @_once_per_bundle
-def check_flexible_akivis_relation(b: AkivisBundle, mode="polarized", jobs=1) -> CheckReport:
+def check_flexible_akivis_relation(b: AkivisBundle, mode="polarized") -> CheckReport:
     """For flexible bundles the cyclic bracket sum collapses onto the
     ternary table:
 
@@ -271,7 +269,7 @@ def check_flexible_akivis_relation(b: AkivisBundle, mode="polarized", jobs=1) ->
             == sum_cyc ( eps(z,x) + eps(x,y) eps(y,z) ) T(x,y,z)
 
     Precondition: flexibility in the requested mode."""
-    classify = check_flexible_alternative(b, mode=mode, jobs=jobs)
+    classify = check_flexible_alternative(b, mode=mode)
     if not classify.flags["flexible"]:
         failed = classify.subreports[1 if mode == "polarized" else 0]
         return CheckReport("flexible-akivis-relation", precondition_failure=failed)
@@ -292,10 +290,10 @@ def check_flexible_akivis_relation(b: AkivisBundle, mode="polarized", jobs=1) ->
         *_rotations(-1, T.den * eps.den ** 2,
                     lambda x, y, z: (TC[x][y][z][x][y][z], unit)),
     )
-    return scan_identity("flexible-akivis-relation", space.tuples(3), defect, jobs)
+    return scan_identity("flexible-akivis-relation", space.tuples(3), defect)
 
 
-def check_hom_associativity(product: MultilinearMap, twist: EvenMap, jobs=1) -> CheckReport:
+def check_hom_associativity(product: MultilinearMap, twist: EvenMap) -> CheckReport:
     """product(t(x), product(y,z)) == product(product(x,y), t(z))."""
     P, tw = tables.table(product), tables.twist(twist)
     defect = tables.law(
@@ -303,11 +301,11 @@ def check_hom_associativity(product: MultilinearMap, twist: EvenMap, jobs=1) -> 
         tables.twisted_left(1, P, P, tw),
         tables.twisted_right(-1, P, P, tw),
     )
-    return scan_identity("hom-associativity", product.codomain.tuples(3), defect, jobs)
+    return scan_identity("hom-associativity", product.codomain.tuples(3), defect)
 
 
 @_once_per_bundle
-def check_color_leibniz(b, jobs=1) -> CheckReport:
+def check_color_leibniz(b) -> CheckReport:
     """Left Leibniz law with twist and signs:
 
         [t(x), [y,z]] == [[x,y], t(z)] + eps(x,y) [t(y), [x,z]]
@@ -319,11 +317,11 @@ def check_color_leibniz(b, jobs=1) -> CheckReport:
         tables.twisted_right(-1, br, br, tw),
         tables.twisted_swap(-1, br, br, tw, _signs(b)),
     )
-    return scan_identity("color-hom-leibniz", b.space.tuples(3), defect, jobs)
+    return scan_identity("color-hom-leibniz", b.space.tuples(3), defect)
 
 
 @_once_per_bundle
-def check_leibniz_consequences(b: LeibnizBundle, jobs=1) -> CheckReport:
+def check_leibniz_consequences(b: LeibnizBundle) -> CheckReport:
     """Two consequences of the Leibniz law, via the derived commutator
     [x,y] := x.y - eps(x,y) y.x of the Leibniz product:
 
@@ -332,7 +330,7 @@ def check_leibniz_consequences(b: LeibnizBundle, jobs=1) -> CheckReport:
 
     Precondition: the bundle passes the Leibniz law itself; both scans
     must then come back clean, never independently."""
-    pre = check_color_leibniz(b, jobs)
+    pre = check_color_leibniz(b)
     if not pre.passed:
         return CheckReport("leibniz-consequences", precondition_failure=pre)
     space = b.space
@@ -352,14 +350,14 @@ def check_leibniz_consequences(b: LeibnizBundle, jobs=1) -> CheckReport:
         tables.twisted_left(-1, br, comm, tw),
     )
     subs = (
-        scan_identity("leibniz-symmetrized-action", space.tuples(3), symmetrized, jobs),
-        scan_identity("leibniz-derived-bracket", space.tuples(3), derived, jobs),
+        scan_identity("leibniz-symmetrized-action", space.tuples(3), symmetrized),
+        scan_identity("leibniz-derived-bracket", space.tuples(3), derived),
     )
     return CheckReport("leibniz-consequences", subreports=subs)
 
 
 @_once_per_bundle
-def check_nhlp(b: NHLPBundle, jobs=1) -> CheckReport:
+def check_nhlp(b: NHLPBundle) -> CheckReport:
     """Composite: Leibniz law for the bracket, Hom-associativity for the
     product, and the compatibility law
 
@@ -368,8 +366,8 @@ def check_nhlp(b: NHLPBundle, jobs=1) -> CheckReport:
 
     Flags record whether the product is eps-commutative."""
     space = b.space
-    leibniz = check_color_leibniz(b, jobs)
-    assoc = check_hom_associativity(b.product, b.twist, jobs)
+    leibniz = check_color_leibniz(b)
+    assoc = check_hom_associativity(b.product, b.twist)
     br, mu, tw = tables.table(b.bracket), tables.table(b.product), tables.twist(b.twist)
     compat = tables.law(
         space,
@@ -377,13 +375,13 @@ def check_nhlp(b: NHLPBundle, jobs=1) -> CheckReport:
         tables.twisted_right(-1, mu, br, tw),
         tables.twisted_swap(-1, mu, br, tw, _signs(b)),
     )
-    compat_rep = scan_identity("leibniz-compatibility", space.tuples(3), compat, jobs)
+    compat_rep = scan_identity("leibniz-compatibility", space.tuples(3), compat)
     flags = {"commutative": is_sign_commutative(b.product, b.bichar)}
     return CheckReport("nhlp", subreports=(leibniz, assoc, compat_rep), flags=flags)
 
 
 @_once_per_bundle
-def check_dialgebra(b: DialgebraBundle, jobs=1) -> CheckReport:
+def check_dialgebra(b: DialgebraBundle) -> CheckReport:
     """The five twisted axioms tying the two products together.  Numbered
     left to right as the defining chain of equalities decomposes:
 
@@ -405,18 +403,18 @@ def check_dialgebra(b: DialgebraBundle, jobs=1) -> CheckReport:
         (left(1, R, R, tw), right(-1, R, R, tw)),
     )
     subs = tuple(
-        scan_identity(f"dialgebra-axiom-{n}", space.tuples(3), tables.law(space, *terms), jobs)
+        scan_identity(f"dialgebra-axiom-{n}", space.tuples(3), tables.law(space, *terms))
         for n, terms in enumerate(axioms, start=1)
     )
     return CheckReport("dialgebra", subreports=subs)
 
 
 @_once_per_bundle
-def check_module(mb: ModuleBundle, jobs=1) -> CheckReport:
+def check_module(mb: ModuleBundle) -> CheckReport:
     """Two twist-compatibility laws and three action laws of a two-sided
     module over a Leibniz bundle.  Precondition: the algebra itself
     satisfies the Leibniz law."""
-    pre = check_color_leibniz(mb.algebra, jobs)
+    pre = check_color_leibniz(mb.algebra)
     if not pre.passed:
         return CheckReport("module", precondition_failure=pre)
     alg = mb.algebra
@@ -472,16 +470,16 @@ def check_module(mb: ModuleBundle, jobs=1) -> CheckReport:
         (x, m, y) for x in range(A.dim) for m in range(M.dim) for y in range(A.dim)
     ]
     subs = (
-        scan_identity("module-twist-left", pairs_xm, twist_left, jobs),
-        scan_identity("module-twist-right", pairs_mx, twist_right, jobs),
-        scan_identity("module-bracket-left", triples_xym, bracket_left, jobs),
-        scan_identity("module-bracket-right", triples_xym, bracket_right, jobs),
-        scan_identity("module-mixed", triples_xmy, mixed, jobs),
+        scan_identity("module-twist-left", pairs_xm, twist_left),
+        scan_identity("module-twist-right", pairs_mx, twist_right),
+        scan_identity("module-bracket-left", triples_xym, bracket_left),
+        scan_identity("module-bracket-right", triples_xym, bracket_right),
+        scan_identity("module-mixed", triples_xmy, mixed),
     )
     return CheckReport("module", subreports=subs)
 
 
-def check_endomorphism(f: EvenMap, ops, jobs=1) -> CheckReport:
+def check_endomorphism(f: EvenMap, ops) -> CheckReport:
     """Report version of the endomorphism test: one violation per basis
     tuple where f fails to commute with a structure map."""
     violations = [

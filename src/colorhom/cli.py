@@ -10,7 +10,6 @@ shipped with the tool can be checked without materializing them first.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -26,7 +25,7 @@ from .constructions import (
     twist_nhlp,
 )
 from .errors import ConstructionError, InputError
-from .fixtures import fixture, fixture_description, fixture_document, fixture_names
+from .fixtures import fixture_description, fixture_document, fixture_names
 from .io import (
     dumps_document,
     full_check,
@@ -36,23 +35,6 @@ from .io import (
     report_document,
     serialize_bundle,
 )
-
-JOBS_ENV = "COLORHOM_JOBS"
-
-
-def _resolve_jobs(value):
-    if value is None:
-        raw = os.environ.get(JOBS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InputError(f"{JOBS_ENV} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise InputError("job count must be >= 1")
-    return value
-
 
 def _load(path):
     """Read a document from a file, or from the fixture registry when the
@@ -84,11 +66,11 @@ def _write_output(path, doc):
         fh.write(text)
 
 
-def _certified_output(bundle, jobs):
+def _certified_output(bundle):
     """Serialize a constructed bundle with its own full check report
     embedded.  Returns (document, report_passed)."""
     doc = serialize_bundle(bundle)
-    results, flags = full_check(bundle, jobs=jobs)
+    results, flags = full_check(bundle)
     doc["report"] = report_document(doc, results, flags)
     return doc, doc["report"]["passed"]
 
@@ -102,8 +84,7 @@ def _emit_report(report, fmt):
 
 def cmd_check(args):
     doc, parsed = _load(args.input)
-    jobs = _resolve_jobs(args.jobs)
-    results, flags = full_check(parsed.bundle, jobs=jobs)
+    results, flags = full_check(parsed.bundle)
     report = report_document(doc, results, flags)
     if args.identity and args.identity != "all":
         wanted = args.identity
@@ -124,16 +105,15 @@ def cmd_check(args):
 
 
 _CONSTRUCTIONS = {
-    "akivis": ("nonassociative", lambda b, a, j: akivis_from_algebra(b, jobs=j)),
-    "dialg2leibniz": ("dialgebra", lambda b, a, j: leibniz_from_dialgebra(b, jobs=j)),
-    "trivext": ("leibniz", lambda b, a, j: trivial_extension(b, jobs=j)),
+    "akivis": ("nonassociative", akivis_from_algebra),
+    "dialg2leibniz": ("dialgebra", leibniz_from_dialgebra),
+    "trivext": ("leibniz", trivial_extension),
     "tensor2": ("nhlp", None),
 }
 
 
 def cmd_construct(args):
     doc, parsed = _load(args.input)
-    jobs = _resolve_jobs(args.jobs)
     expected_kind, build = _CONSTRUCTIONS[args.what]
     bundle = parsed.bundle
     if bundle.kind != expected_kind:
@@ -141,22 +121,21 @@ def cmd_construct(args):
             f"construct {args.what} expects a {expected_kind} bundle, got {bundle.kind}"
         )
     if args.what == "tensor2":
-        out, report = tensor_square_nhlp(bundle, variant=args.variant, jobs=jobs)
-        out_doc, ok = _certified_output(out, jobs)
+        out, report = tensor_square_nhlp(bundle, variant=args.variant)
+        out_doc, ok = _certified_output(out)
         _write_output(args.output, out_doc)
         if not ok:
             print(report.describe(), file=sys.stderr)
             return 1
         return 0
-    out = build(bundle, args, jobs)
-    out_doc, ok = _certified_output(out, jobs)
+    out = build(bundle)
+    out_doc, ok = _certified_output(out)
     _write_output(args.output, out_doc)
     return 0 if ok else 1
 
 
 def cmd_twist(args):
     doc, parsed = _load(args.input)
-    jobs = _resolve_jobs(args.jobs)
     bundle = parsed.bundle
     if args.power < 0:
         raise InputError("--power must be >= 0")
@@ -165,8 +144,8 @@ def cmd_twist(args):
             raise InputError("module documents are twisted with --module")
         out = bundle
         for _ in range(args.power):
-            out = twist_module(out, jobs=jobs)
-        out_doc, ok = _certified_output(out, jobs)
+            out = twist_module(out)
+        out_doc, ok = _certified_output(out)
         _write_output(args.output, out_doc)
         return 0 if ok else 1
     if args.module:
@@ -181,8 +160,8 @@ def cmd_twist(args):
     twists = {"akivis": twist_akivis, "leibniz": twist_leibniz, "nhlp": twist_nhlp}
     if bundle.kind not in twists:
         raise InputError(f"twisting is defined for {sorted(twists)} bundles, not {bundle.kind}")
-    out = twists[bundle.kind](bundle, beta, args.power, jobs=jobs)
-    out_doc, ok = _certified_output(out, jobs)
+    out = twists[bundle.kind](bundle, beta, args.power)
+    out_doc, ok = _certified_output(out)
     _write_output(args.output, out_doc)
     return 0 if ok else 1
 
@@ -215,9 +194,6 @@ def build_parser():
     p.add_argument("--identity", default="all",
                    help="restrict to one identity (default: all for the kind)")
     p.add_argument("--report", choices=("text", "machine"), default="text")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="job count, accepted for compatibility; scans run in one "
-                        f"thread and output never depends on it (default ${JOBS_ENV} or 1)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("construct", help="derive a new bundle and certify it")
@@ -226,7 +202,6 @@ def build_parser():
     p.add_argument("output", help="output path, or - for standard output")
     p.add_argument("--variant", choices=("corrected", "as-printed"), default="corrected",
                    help="tensor2 product rule variant")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("twist", help="twist a bundle along an endomorphism power")
@@ -237,7 +212,6 @@ def build_parser():
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--module", action="store_true",
                    help="twist a module document along its algebra twist")
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_twist)
 
     p = sub.add_parser("examples", help="list built-in fixtures or print one")

@@ -47,18 +47,18 @@ def _even_endo(beta: EvenMap, space, ops, what):
     _require(check_endomorphism(beta, ops), what)
 
 
-def akivis_from_algebra(b: NonAssocBundle, jobs=1) -> AkivisBundle:
+def akivis_from_algebra(b: NonAssocBundle) -> AkivisBundle:
     """Commutator bracket plus twisted-associator ternary of a graded
     algebra.  The output is re-certified against the Akivis identity;
     multiplicativity of the twist map is NOT required for that."""
     bracket = commutator_map(b.product, b.bichar)
     ternary = associator_map(b.product, b.twist)
     out = AkivisBundle(b.space, b.bichar, bracket, ternary, b.twist)
-    _require(check_akivis_identity(out, jobs), "akivis_from_algebra output")
+    _require(check_akivis_identity(out), "akivis_from_algebra output")
     return out
 
 
-def twist_akivis(b: AkivisBundle, beta: EvenMap, n: int, jobs=1) -> AkivisBundle:
+def twist_akivis(b: AkivisBundle, beta: EvenMap, n: int) -> AkivisBundle:
     """n-th twist along a self-map beta commuting with both operations:
     new bracket = beta^n o bracket, new ternary = beta^(2n) o ternary,
     new twist map = beta^n o old twist.  n == 0 returns the input shape
@@ -66,7 +66,7 @@ def twist_akivis(b: AkivisBundle, beta: EvenMap, n: int, jobs=1) -> AkivisBundle
     if not isinstance(n, int) or n < 0:
         raise InputError("twist power must be a non-negative integer")
     _even_endo(beta, b.space, [b.bracket, b.ternary], "twist_akivis")
-    _require(check_akivis_identity(b, jobs), "twist_akivis input")
+    _require(check_akivis_identity(b), "twist_akivis input")
     bn = beta.power(n)
     b2n = bn.compose(bn)
     out = AkivisBundle(
@@ -78,16 +78,16 @@ def twist_akivis(b: AkivisBundle, beta: EvenMap, n: int, jobs=1) -> AkivisBundle
     )
     if out == b:  # a fixed point: keep the input and the reports stored on it
         out = b
-    _require(check_akivis_identity(out, jobs), "twist_akivis output")
+    _require(check_akivis_identity(out), "twist_akivis output")
     return out
 
 
-def twist_nhlp(b: NHLPBundle, beta: EvenMap, n: int, jobs=1) -> NHLPBundle:
+def twist_nhlp(b: NHLPBundle, beta: EvenMap, n: int) -> NHLPBundle:
     """Twist product, bracket and twist map by beta^n."""
     if not isinstance(n, int) or n < 0:
         raise InputError("twist power must be a non-negative integer")
     _even_endo(beta, b.space, [b.product, b.bracket], "twist_nhlp")
-    _require(check_nhlp(b, jobs), "twist_nhlp input")
+    _require(check_nhlp(b), "twist_nhlp input")
     bn = beta.power(n)
     out = NHLPBundle(
         b.space,
@@ -98,52 +98,52 @@ def twist_nhlp(b: NHLPBundle, beta: EvenMap, n: int, jobs=1) -> NHLPBundle:
     )
     if out == b:  # a fixed point: keep the input and the reports stored on it
         out = b
-    _require(check_nhlp(out, jobs), "twist_nhlp output")
+    _require(check_nhlp(out), "twist_nhlp output")
     return out
 
 
-def twist_leibniz(b: LeibnizBundle, beta: EvenMap, n: int, jobs=1) -> LeibnizBundle:
+def twist_leibniz(b: LeibnizBundle, beta: EvenMap, n: int) -> LeibnizBundle:
     """Bracket-only twist (the zero-product specialization of the
     Leibniz-Poisson twist)."""
     if not isinstance(n, int) or n < 0:
         raise InputError("twist power must be a non-negative integer")
     _even_endo(beta, b.space, [b.bracket], "twist_leibniz")
-    _require(check_color_leibniz(b, jobs), "twist_leibniz input")
+    _require(check_color_leibniz(b), "twist_leibniz input")
     bn = beta.power(n)
     out = LeibnizBundle(
         b.space, b.bichar, b.bracket.map_values(bn), bn.compose(b.twist)
     )
     if out == b:  # a fixed point: keep the input and the reports stored on it
         out = b
-    _require(check_color_leibniz(out, jobs), "twist_leibniz output")
+    _require(check_color_leibniz(out), "twist_leibniz output")
     return out
 
 
-def nhlp_opposite(b: NHLPBundle, jobs=1) -> NHLPBundle:
+def nhlp_opposite(b: NHLPBundle) -> NHLPBundle:
     """Same bracket over the opposite product.  Input and output are both
     certified; for genuinely graded bundles the compatibility law of the
     opposite can fail, in which case this refuses with the report."""
-    _require(check_nhlp(b, jobs), "nhlp_opposite input")
+    _require(check_nhlp(b), "nhlp_opposite input")
     out = NHLPBundle(b.space, b.bichar, b.product.opposite(), b.bracket, b.twist)
-    _require(check_nhlp(out, jobs), "nhlp_opposite output")
+    _require(check_nhlp(out), "nhlp_opposite output")
     return out
 
 
-def nhlp_scaled(b: NHLPBundle, k: Scalar, jobs=1) -> NHLPBundle:
+def nhlp_scaled(b: NHLPBundle, k: Scalar) -> NHLPBundle:
     """Scale both operations by one nonzero scalar."""
     if not isinstance(k, Scalar):
         k = Scalar.rational(b.space.field, k)
     if k.is_zero():
         raise InputError("scaling by zero is not a structure transport")
-    _require(check_nhlp(b, jobs), "nhlp_scaled input")
+    _require(check_nhlp(b), "nhlp_scaled input")
     out = NHLPBundle(
         b.space, b.bichar, b.product.scaled(k), b.bracket.scaled(k), b.twist
     )
-    _require(check_nhlp(out, jobs), "nhlp_scaled output")
+    _require(check_nhlp(out), "nhlp_scaled output")
     return out
 
 
-def trivial_extension(b: LeibnizBundle, jobs=1) -> NHLPBundle:
+def trivial_extension(b: LeibnizBundle) -> NHLPBundle:
     """Adjoin a unit line to an ungraded Leibniz bundle:
 
         product (x + a u)(y + b u) = b x + a y + a b u
@@ -157,7 +157,7 @@ def trivial_extension(b: LeibnizBundle, jobs=1) -> NHLPBundle:
     refused."""
     if not b.space.is_trivially_graded():
         raise InputError("trivial_extension needs a trivially graded bundle")
-    _require(check_color_leibniz(b, jobs), "trivial_extension input")
+    _require(check_color_leibniz(b), "trivial_extension input")
     space = b.space
     unit_name = "u"
     taken = {name for name, _ in space.basis}
@@ -193,14 +193,14 @@ def trivial_extension(b: LeibnizBundle, jobs=1) -> NHLPBundle:
         MultilinearMap.internal(ext, 2, br_table),
         EvenMap(ext, tuple(twist_rows)),
     )
-    _require(check_nhlp(out, jobs), "trivial_extension output")
+    _require(check_nhlp(out), "trivial_extension output")
     return out
 
 
-def leibniz_from_dialgebra(b: DialgebraBundle, jobs=1) -> NHLPBundle:
+def leibniz_from_dialgebra(b: DialgebraBundle) -> NHLPBundle:
     """Derived bracket [x, y] = (x right y) - (y left x) over the left
     product; the pair is a (trivially graded) Leibniz-Poisson bundle."""
-    _require(check_dialgebra(b, jobs), "leibniz_from_dialgebra input")
+    _require(check_dialgebra(b), "leibniz_from_dialgebra input")
     space = b.space
     table = {}
     for i, j in space.tuples(2):
@@ -214,11 +214,11 @@ def leibniz_from_dialgebra(b: DialgebraBundle, jobs=1) -> NHLPBundle:
         MultilinearMap.internal(space, 2, table),
         b.twist,
     )
-    _require(check_nhlp(out, jobs), "leibniz_from_dialgebra output")
+    _require(check_nhlp(out), "leibniz_from_dialgebra output")
     return out
 
 
-def twist_module(mb: ModuleBundle, jobs=1) -> ModuleBundle:
+def twist_module(mb: ModuleBundle) -> ModuleBundle:
     """Compose both actions with the square of the algebra twist map:
     new left action (x, m) -> old(t^2 x, m), new right action (m, x) ->
     old(m, t^2 x).  Needs a multiplicative algebra twist and a certified
@@ -228,7 +228,7 @@ def twist_module(mb: ModuleBundle, jobs=1) -> ModuleBundle:
         check_endomorphism(alg.twist, [alg.bracket]),
         "twist_module algebra twist must be multiplicative",
     )
-    _require(check_module(mb, jobs), "twist_module input")
+    _require(check_module(mb), "twist_module input")
     t2 = alg.twist.compose(alg.twist)
     A, M = alg.space, mb.module_space
     left_table = {}
@@ -254,11 +254,11 @@ def twist_module(mb: ModuleBundle, jobs=1) -> ModuleBundle:
     )
     if out == mb:  # a fixed point: keep the input and the reports stored on it
         out = mb
-    _require(check_module(out, jobs), "twist_module output")
+    _require(check_module(out), "twist_module output")
     return out
 
 
-def tensor_square_nhlp(b: NHLPBundle, variant="corrected", jobs=1):
+def tensor_square_nhlp(b: NHLPBundle, variant="corrected"):
     """EXPERIMENTAL tensor-square structure; excluded from the certified
     surface.  Returns (bundle, report) and never raises on a failing
     report.
@@ -274,7 +274,7 @@ def tensor_square_nhlp(b: NHLPBundle, variant="corrected", jobs=1):
         raise InputError("tensor square needs a trivially graded bundle")
     if not b.twist.is_identity():
         raise InputError("tensor square needs an identity twist map")
-    _require(check_nhlp(b, jobs), "tensor_square input")
+    _require(check_nhlp(b), "tensor_square input")
     space = b.space
     d = space.dim
     zero_deg = space.group.zero()
@@ -318,4 +318,4 @@ def tensor_square_nhlp(b: NHLPBundle, variant="corrected", jobs=1):
         MultilinearMap.internal(ext, 2, br_table),
         EvenMap.identity(ext),
     )
-    return out, check_nhlp(out, jobs)
+    return out, check_nhlp(out)

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import sys
+
 
 class ColorHomError(Exception):
     """Base class for all errors raised by this package."""
@@ -21,3 +23,11 @@ class ConstructionError(ColorHomError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def too_many_digits(what) -> InputError:
+    """The error for the ValueError CPython raises when an int crosses its
+    int-string conversion limit, in either direction."""
+    return InputError(
+        f"{what} exceeds the limit of {sys.get_int_max_str_digits()} digits per integer"
+    )

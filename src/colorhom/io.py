@@ -9,7 +9,7 @@ bundle is fully trustworthy in memory.
 
 Reports are JSON too, embedding the tool version and the sha256 digest of
 the canonical re-serialization of the input, so a report is stable under
-whitespace-only changes to its input and under any checker job count.
+whitespace-only changes to its input.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .checkers import (
     check_nhlp,
     check_skew_symmetry,
 )
-from .errors import InputError
+from .errors import InputError, too_many_digits
 from .grading import Bicharacter, GradingGroup
 from .linalg import EvenMap, GradedSpace, MultilinearMap, Vector
 from .report import CheckReport
@@ -373,6 +373,8 @@ def loads_document(text) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InputError(f"document is not valid JSON: {e}") from None
+    except ValueError:  # the only other ValueError is CPython's int-string limit
+        raise too_many_digits("integer literal in the document") from None
     except RecursionError:
         raise InputError(
             "document nesting exceeds the JSON parser's recursion limit"
@@ -398,13 +400,14 @@ def full_check(bundle, jobs=1):
     (CheckReport, advisory) pairs.  Advisory reports classify structure
     (flexibility, skewness of a Leibniz bracket, ...) and never count
     against certification; non-advisory reports are the laws the kind
-    claims, plus well-formedness."""
+    claims, plus well-formedness.  ``jobs`` is ignored; it stays only
+    because the perfbench worker passes it."""
     results = [(_EVENNESS, False), (_BICHAR_AXIOMS, False)]
     flags = {}
     kind = bundle.kind
     if kind == "nonassociative":
-        classify = check_flexible_alternative(bundle, jobs=jobs)
-        assoc = check_hom_associativity(bundle.product, bundle.twist, jobs)
+        classify = check_flexible_alternative(bundle)
+        assoc = check_hom_associativity(bundle.product, bundle.twist)
         results += [(classify, True), (assoc, True)]
         flags = {
             "multiplicative": is_multiplicative(bundle),
@@ -414,11 +417,11 @@ def full_check(bundle, jobs=1):
             "alternative": classify.flags["alternative"],
         }
     elif kind == "akivis":
-        skew = check_skew_symmetry(bundle, jobs)
-        akivis = check_akivis_identity(bundle, jobs)
+        skew = check_skew_symmetry(bundle)
+        akivis = check_akivis_identity(bundle)
         results += [(skew, False), (akivis, False)]
-        classify = check_flexible_alternative(bundle, jobs=jobs)
-        jacobi = check_hom_lie(bundle, jobs)
+        classify = check_flexible_alternative(bundle)
+        jacobi = check_hom_lie(bundle)
         results += [(classify, True), (jacobi, True)]
         flags = {
             "multiplicative": is_multiplicative(bundle),
@@ -427,33 +430,33 @@ def full_check(bundle, jobs=1):
             "hom_lie": jacobi.passed,
         }
         if bundle.space.is_trivially_graded() and classify.flags["flexible"]:
-            results.append((check_flexible_akivis_relation(bundle, jobs=jobs), False))
+            results.append((check_flexible_akivis_relation(bundle), False))
     elif kind == "leibniz":
-        law = check_color_leibniz(bundle, jobs)
+        law = check_color_leibniz(bundle)
         results.append((law, False))
         if law.passed:
-            results.append((check_leibniz_consequences(bundle, jobs), False))
-        skew = check_skew_symmetry(bundle, jobs)
+            results.append((check_leibniz_consequences(bundle), False))
+        skew = check_skew_symmetry(bundle)
         results.append((skew, True))
         flags = {
             "multiplicative": is_multiplicative(bundle),
             "skew_symmetric": skew.passed,
         }
     elif kind == "nhlp":
-        rep = check_nhlp(bundle, jobs)
+        rep = check_nhlp(bundle)
         results.append((rep, False))
         flags = {
             "multiplicative": is_multiplicative(bundle),
             "commutative": rep.flags["commutative"],
         }
     elif kind == "dialgebra":
-        results.append((check_dialgebra(bundle, jobs), False))
+        results.append((check_dialgebra(bundle), False))
         flags = {
             "multiplicative": is_multiplicative(bundle),
             "products_coincide": bundle.prod_left == bundle.prod_right,
         }
     elif kind == "module":
-        results.append((check_module(bundle, jobs), False))
+        results.append((check_module(bundle), False))
         flags = {"algebra_multiplicative": is_multiplicative(bundle.algebra)}
     return results, flags
 

@@ -10,14 +10,13 @@ these scalars are exact, never approximate.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd
 
 from ._backend import kernel as _K
-from .errors import InputError
+from .errors import InputError, too_many_digits
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -367,15 +366,15 @@ def scalar_from_text(field, data) -> Scalar:
             coeffs.append(Fraction(item))
         except ValueError:
             # only CPython's int-string limit gets past _FRACTION_RE
-            raise InputError(
-                f"rational of {len(item)} characters exceeds the limit of "
-                f"{sys.get_int_max_str_digits()} digits per integer"
-            ) from None
+            raise too_many_digits(f"rational of {len(item)} characters") from None
     return Scalar(field, coeffs)
 
 
 def scalar_to_text(s: Scalar):
     """Document form: inverse of scalar_from_text."""
-    if s.field.cyclotomic_order == 1:
-        return _frac_text(s.coefficients[0])
-    return [_frac_text(c) for c in s.coefficients]
+    try:
+        if s.field.cyclotomic_order == 1:
+            return _frac_text(s.coefficients[0])
+        return [_frac_text(c) for c in s.coefficients]
+    except ValueError:
+        raise too_many_digits("output coefficient") from None

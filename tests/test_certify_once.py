@@ -95,10 +95,10 @@ def test_twist_fixed_point_returns_input(scan_ledger):
 def test_stored_report_is_keyed_by_mode():
     b = fresh_bundle("akivis-A")
     polarized = check_flexible_alternative(b)
-    literal = check_flexible_alternative(b, mode="literal", jobs=3)
+    literal = check_flexible_alternative(b, mode="literal")
     assert polarized.note == "mode=polarized"
     assert literal.note == "mode=literal"
-    assert check_flexible_alternative(b, "polarized", 2) is polarized
+    assert check_flexible_alternative(b, "polarized") is polarized
 
 
 @pytest.mark.parametrize("name", fixture_names())

@@ -1,7 +1,6 @@
 """End-to-end command behavior through cli.main, without subprocesses."""
 
 import json
-import os
 
 import pytest
 
@@ -56,6 +55,16 @@ def test_check_oversized_integer_is_input_error(tmp_path, capsys):
     assert "document.ops.bracket[0].out.0" in err and "digits" in err
 
 
+def test_check_oversized_integer_literal_is_input_error(tmp_path, capsys):
+    # a JSON number literal, not a string, past the same 4300-digit limit
+    text = json.dumps(fixture_document("leibniz-L2"))
+    p = tmp_path / "big-order.json"
+    p.write_text(text.replace('"cyclotomic_order": 1', '"cyclotomic_order": 1' + "0" * 5000))
+    code, _, err = run(capsys, "check", str(p))
+    assert code == 2
+    assert "integer literal" in err and "digits" in err
+
+
 def test_check_deeply_nested_document_is_input_error(tmp_path, capsys):
     p = tmp_path / "deep.json"
     p.write_text("[" * 100_000 + "]" * 100_000)
@@ -105,23 +114,11 @@ def test_check_identity_filter_no_match(capsys):
     assert "error:" in err
 
 
-def test_check_reports_byte_identical_across_jobs(capsys):
-    _, out1, _ = run(
-        capsys, "check", "fixtures/leibniz-L2-broken", "--report", "machine", "--jobs", "1"
-    )
-    _, out4, _ = run(
-        capsys, "check", "fixtures/leibniz-L2-broken", "--report", "machine", "--jobs", "4"
-    )
-    assert out1 == out4
-
-
-def test_jobs_env_variable(monkeypatch, capsys):
-    monkeypatch.setenv(cli.JOBS_ENV, "3")
-    code, out, _ = run(capsys, "check", "fixtures/leibniz-L2")
-    assert code == 0
-    monkeypatch.setenv(cli.JOBS_ENV, "zero")
-    code, _, err = run(capsys, "check", "fixtures/leibniz-L2")
-    assert code == 2
+def test_jobs_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["check", "fixtures/leibniz-L2", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +280,18 @@ def test_twist_non_endomorphism_refused(tmp_path, capsys):
     code, _, err = run(capsys, "twist", str(p), "-", "--map", "beta")
     assert code == 1
     assert "refused" in err
+
+
+def test_twist_oversized_output_coefficient_is_input_error(tmp_path, capsys):
+    # 100**2200 has 4401 digits: the twist certifies, its document cannot be written
+    doc = fixture_document("leibniz-L2")
+    doc["maps"]["alpha"] = [["100", "0"], ["0", "10"]]
+    p, out = tmp_path / "in.json", tmp_path / "out.json"
+    p.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "twist", str(p), str(out), "--power", "2200")
+    assert code == 2
+    assert "output coefficient" in err and "digits" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -268,12 +268,12 @@ def scans(monkeypatch):
     originals = (checkers.check_skew_symmetry, checkers.check_color_leibniz,
                  checkers.check_flexible_alternative)
     monkeypatch.setattr(checkers, "check_skew_symmetry",
-                        lambda b, jobs=1: CheckReport("skew-symmetry"))
+                        lambda b: CheckReport("skew-symmetry"))
     monkeypatch.setattr(checkers, "check_color_leibniz",
-                        lambda b, jobs=1: CheckReport("color-hom-leibniz"))
+                        lambda b: CheckReport("color-hom-leibniz"))
     monkeypatch.setattr(
         checkers, "check_flexible_alternative",
-        lambda b, mode="polarized", jobs=1: CheckReport(
+        lambda b, mode="polarized": CheckReport(
             "flexible-alternative", flags={"flexible": True}))
     scan = checkers.scan_identity
     captured = []
