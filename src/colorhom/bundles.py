@@ -51,7 +51,7 @@ class NonAssocBundle:
 
     def __post_init__(self):
         _validate(self.space, self.bichar, [("product", self.product, 2)],
-                  [("twist", self.twist)])
+                  [("twist alpha", self.twist)])
 
     def ops(self):
         return [self.product]
@@ -72,7 +72,7 @@ class AkivisBundle:
     def __post_init__(self):
         _validate(self.space, self.bichar,
                   [("bracket", self.bracket, 2), ("ternary", self.ternary, 3)],
-                  [("twist", self.twist)])
+                  [("twist alpha", self.twist)])
 
     def ops(self):
         return [self.bracket, self.ternary]
@@ -91,7 +91,7 @@ class LeibnizBundle:
 
     def __post_init__(self):
         _validate(self.space, self.bichar, [("bracket", self.bracket, 2)],
-                  [("twist", self.twist)])
+                  [("twist alpha", self.twist)])
 
     def ops(self):
         return [self.bracket]
@@ -112,7 +112,7 @@ class NHLPBundle:
     def __post_init__(self):
         _validate(self.space, self.bichar,
                   [("product", self.product, 2), ("bracket", self.bracket, 2)],
-                  [("twist", self.twist)])
+                  [("twist alpha", self.twist)])
 
     def ops(self):
         return [self.product, self.bracket]
@@ -136,7 +136,7 @@ class DialgebraBundle:
             raise InputError("dialgebras are ungraded: all degrees must be zero")
         _validate(self.space, self.bichar,
                   [("prod_left", self.prod_left, 2), ("prod_right", self.prod_right, 2)],
-                  [("twist", self.twist)])
+                  [("twist alpha", self.twist)])
 
     def ops(self):
         return [self.prod_left, self.prod_right]
@@ -175,7 +175,9 @@ class ModuleBundle:
             raise InputError("module_twist must act on the module space")
         rep = check_evenness(self.module_twist)
         if not rep.passed:
-            raise InputError(f"module_twist is not even: {rep.violations[0].describe()}")
+            raise InputError(
+                f"module twist alphaM is not even: {rep.violations[0].describe()}"
+            )
 
 
 def _associator(product: MultilinearMap, twist: EvenMap):

@@ -224,15 +224,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except ConstructionError as e:
+            # a defect too long to print is an InputError, so the refusal
+            # is built in full before any of it is printed
+            text = f"refused: {e}"
+            if e.report is not None:
+                text += "\n" + e.report.describe()
+            print(text, file=sys.stderr)
+            return 1
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ConstructionError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        if e.report is not None:
-            print(e.report.describe(), file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

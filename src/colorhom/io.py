@@ -195,7 +195,13 @@ def _parse_matrix(space, rows, path):
         )
         for i, row in enumerate(rows)
     )
-    m = EvenMap(space, parsed)
+    return EvenMap(space, parsed)
+
+
+def _parse_extra_map(space, rows, path):
+    """A map riding along with a bundle; the bundle constructors check
+    evenness of the maps they hold, so only these are checked here."""
+    m = _parse_matrix(space, rows, path)
     rep = check_evenness(m)
     if not rep.passed:
         _fail(path, rep.violations[0].describe())
@@ -232,7 +238,7 @@ def parse_document(doc) -> ParsedDocument:
     for name, rows in maps_doc.items():
         if name == "alpha":
             continue
-        extras[name] = _parse_matrix(space, rows, f"document.maps.{name}")
+        extras[name] = _parse_extra_map(space, rows, f"document.maps.{name}")
 
     try:
         if kind == "nonassociative":

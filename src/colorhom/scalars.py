@@ -13,12 +13,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import gcd
+from math import gcd, lcm
 
 from ._backend import kernel as _K
 from .errors import InputError, too_many_digits
 
-_FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
 
 
 def _poly_divexact(num, den):
@@ -266,19 +266,20 @@ class Scalar:
         return f"Scalar({self})"
 
     def __str__(self):
+        den = self.den
         if self.field.degree == 1:
-            return _frac_text(self.coefficients[0])
+            return _ratio_text(self.nums[0], den)
         parts = []
-        for k, c in enumerate(self.coefficients):
-            if c == 0:
+        for k, n in enumerate(self.nums):
+            if not n:
                 continue
-            mag = _frac_text(abs(c))
+            mag = _ratio_text(abs(n), den)
             if k == 0:
                 term = mag
             else:
                 zk = "z" if k == 1 else f"z^{k}"
                 term = zk if mag == "1" else f"{mag}*{zk}"
-            parts.append(("-" if c < 0 else "+", term))
+            parts.append(("-" if n < 0 else "+", term))
         if not parts:
             return "0"
         sign, first = parts[0]
@@ -288,8 +289,15 @@ class Scalar:
         return text
 
 
-def _frac_text(f: Fraction) -> str:
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+def _ratio_text(n, den):
+    """n/den in lowest terms as "p" or "p/q"; den > 0."""
+    try:
+        if den == 1:
+            return str(n)
+        g = gcd(n, den)
+        return str(n // g) if g == den else f"{n // g}/{den // g}"
+    except ValueError:  # CPython's int-string limit
+        raise too_many_digits("output coefficient") from None
 
 
 def _frac_poly_divmod(a, b):
@@ -358,23 +366,24 @@ def scalar_from_text(field, data) -> Scalar:
             raise InputError(
                 f"expected a list of {field.degree} rational strings, got {data!r}"
             )
-    coeffs = []
+    pairs = []
     for item in data:
-        if not isinstance(item, str) or not _FRACTION_RE.fullmatch(item):
+        m = _FRACTION_RE.fullmatch(item) if isinstance(item, str) else None
+        if m is None:
             raise InputError(f"malformed rational {item!r} (expected 'p' or 'p/q')")
+        p, q = m.groups()
         try:
-            coeffs.append(Fraction(item))
+            pairs.append((int(p), int(q) if q else 1))
         except ValueError:
             # only CPython's int-string limit gets past _FRACTION_RE
             raise too_many_digits(f"rational of {len(item)} characters") from None
-    return Scalar(field, coeffs)
+    den = lcm(*(q for _, q in pairs))
+    nums = [p if q == den else p * (den // q) for p, q in pairs]
+    return Scalar._make(field, *_K.normalize(nums, den))
 
 
 def scalar_to_text(s: Scalar):
     """Document form: inverse of scalar_from_text."""
-    try:
-        if s.field.cyclotomic_order == 1:
-            return _frac_text(s.coefficients[0])
-        return [_frac_text(c) for c in s.coefficients]
-    except ValueError:
-        raise too_many_digits("output coefficient") from None
+    if s.field.cyclotomic_order == 1:
+        return _ratio_text(s.nums[0], s.den)
+    return [_ratio_text(n, s.den) for n in s.nums]

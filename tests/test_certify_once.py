@@ -134,3 +134,29 @@ def test_full_check_does_not_revalidate(monkeypatch, name):
     assert calls == Counter()
     lines = {rep.identity_id: rep.passed for rep, _ in results[:2]}
     assert lines == {"evenness": True, "bicharacter-axioms": True}
+
+
+def test_parse_checks_each_map_for_evenness_once(monkeypatch):
+    """The bundle constructor checks alpha and the bracket; parsing checks
+    only maps the bundle does not hold (such as beta)."""
+    doc = fixture_document("leibniz-L2")
+    checked = Counter()
+    check_evenness = linalg.check_evenness
+
+    def counting(obj):
+        checked[id(obj)] += 1
+        return check_evenness(obj)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("colorhom"):
+            for attr, value in list(vars(mod).items()):
+                if value is check_evenness:
+                    monkeypatch.setattr(mod, attr, counting)
+    bundle = io.parse_document(doc).bundle
+    assert checked == Counter({id(bundle.bracket): 1, id(bundle.twist): 1})
+
+    doc["maps"]["beta"] = doc["maps"]["alpha"]
+    checked.clear()
+    parsed = io.parse_document(doc)
+    assert sorted(checked.values()) == [1, 1, 1]
+    assert id(parsed.extra_maps["beta"]) in checked

@@ -294,6 +294,20 @@ def test_twist_oversized_output_coefficient_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_twist_refusal_with_oversized_defect_is_input_error(tmp_path, capsys):
+    # beta is not an endomorphism of L2: the refusal's defect entry has about
+    # 6000 digits, past the int-string limit, so the refusal cannot be printed
+    doc = fixture_document("leibniz-L2")
+    big = str(10**3000)
+    doc["maps"]["beta"] = [[big, "0"], ["0", big]]
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "twist", str(p), "-", "--map", "beta")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "digits" in err
+
+
 # ---------------------------------------------------------------------------
 # examples
 

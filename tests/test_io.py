@@ -3,15 +3,27 @@ and the composite verdicts produced by full_check."""
 
 import copy
 import json
+import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorhom import io
+from colorhom.bundles import NonAssocBundle
 from colorhom.errors import InputError
 from colorhom.fixtures import fixture, fixture_document, fixture_names
 from colorhom.grading import GradingGroup
 from colorhom.linalg import EvenMap
 from colorhom.scalars import Scalar, cyclotomic_field
+from genutil import (
+    make_bicharacter,
+    make_group,
+    random_even_map,
+    random_even_table,
+    random_space,
+    regular_module,
+)
 
 
 def reparse(doc):
@@ -153,6 +165,24 @@ def test_odd_alpha_rejected():
     assert "alpha" in str(exc.value)
 
 
+def test_odd_extra_map_rejected():
+    def mutate(d):
+        d["maps"]["beta"] = [["0", "1"], ["1", "0"]]
+
+    with pytest.raises(InputError) as exc:
+        io.parse_document(broken("leibniz-S1", mutate))
+    assert "document.maps.beta" in str(exc.value)
+
+
+def test_odd_module_twist_rejected():
+    doc = io.serialize_bundle(regular_module(fixture("leibniz-S1").bundle))
+    io.parse_document(doc)
+    doc["maps"]["alphaM"] = [["0", "1"], ["1", "0"]]
+    with pytest.raises(InputError) as exc:
+        io.parse_document(doc)
+    assert "alphaM" in str(exc.value)
+
+
 def test_module_documents_reject_extra_maps():
     def mutate(d):
         d["maps"]["beta"] = [["1", "0"], ["0", "1"]]
@@ -291,3 +321,91 @@ def test_report_document_green_path():
     assert rdoc["passed"] is True
     text = io.render_report_text(rdoc)
     assert "result: PASS" in text
+
+
+# ---------------------------------------------------------------------------
+# fuzz: a mutated document parses or raises InputError, nothing else
+
+
+def _graded_document():
+    """A Z4xZ4-graded nonassociative bundle over Q(i), so the fuzz also
+    meets scalar lists and a bicharacter with entries other than 1."""
+    rng = random.Random(8)
+    group = make_group("z4xz4")
+    space = random_space(rng, group, 3)
+    bundle = NonAssocBundle(space, make_bicharacter(rng, group),
+                            random_even_table(rng, space), random_even_map(rng, space))
+    return io.serialize_bundle(bundle, extra_maps={"beta": random_even_map(rng, space)})
+
+
+FUZZ_SEEDS = [fixture_document(name) for name in fixture_names()] + [_graded_document()]
+
+# Number literals stay small: a large cyclotomic order or free degree is
+# slow to build and has no budget yet (oversized literals are covered by
+# the int-string-limit text below).
+fuzz_numbers = st.integers(-3, 13)
+fuzz_strings = st.one_of(
+    st.sampled_from(["", "0", "-0", "+1", "0/7", "1/0", "2/-3", "1.5", "1e3", " 1",
+                     "1_0", "--1", "x", "7" * 5000, "1/" + "3" * 5000]),
+    st.text(max_size=6),
+)
+fuzz_values = st.one_of(
+    fuzz_numbers, fuzz_strings, st.none(), st.booleans(), st.builds(list), st.builds(dict),
+    st.lists(fuzz_strings, max_size=5),
+)
+
+
+def _nodes(node, path=()):
+    yield path, node
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _nodes(value, path + (key,))
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _nodes(value, path + (k,))
+
+
+def _mutate(doc, data):
+    path, node = data.draw(st.sampled_from(list(_nodes(doc))))
+    if isinstance(node, list) and data.draw(st.booleans()):
+        # change a list's length: drop, repeat or add an element
+        how = data.draw(st.sampled_from(["drop", "repeat", "add"]))
+        if how == "drop" and node:
+            del node[data.draw(st.integers(0, len(node) - 1))]
+        elif how == "repeat" and node:
+            node.append(copy.deepcopy(data.draw(st.sampled_from(node))))
+        else:
+            node.append(data.draw(fuzz_values))
+        return
+    if isinstance(node, dict) and node and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(sorted(node)))
+        node[data.draw(fuzz_strings)] = node.pop(key)
+        return
+    if not path:
+        return
+    parent = doc
+    for step in path[:-1]:
+        parent = parent[step]
+    if isinstance(node, str):
+        parent[path[-1]] = data.draw(fuzz_strings)
+    elif isinstance(node, int) and not isinstance(node, bool):
+        parent[path[-1]] = data.draw(fuzz_numbers)
+    else:
+        parent[path[-1]] = data.draw(fuzz_values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_SEEDS), st.integers(1, 4), st.integers(0, 9), st.data())
+def test_fuzzed_documents_raise_only_input_error(seed_doc, mutations, one_in_ten, data):
+    doc = copy.deepcopy(seed_doc)
+    for _ in range(mutations):
+        _mutate(doc, data)
+    text = json.dumps(doc)
+    if one_in_ten == 0:
+        # a number literal past the int-string limit, wherever the first one is
+        text = re.sub(r"(?<=[\[:,] )(-?\d+)(?=[,\]}])", lambda m: m.group(1) + "0" * 4400,
+                      text, count=1)
+    try:
+        io.parse_document(io.loads_document(text))
+    except InputError:
+        pass

@@ -196,3 +196,88 @@ def test_zeta12_identity():
     z = Scalar.root(field)
     assert z ** 4 == z ** 2 - 1
     assert z ** 6 == Scalar.rational(field, -1)
+
+
+# ---------------------------------------------------------------------------
+# the integer parser and writer against the Fraction-based path they replaced
+
+TEXT_FIELDS = [cyclotomic_field(1), cyclotomic_field(4), cyclotomic_field(12)]
+
+
+def fraction_text(f):
+    """The writer's former form: str of the Fraction's parts."""
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def fraction_str(s):
+    """Scalar.__str__ as it was, built from Scalar.coefficients."""
+    if s.field.degree == 1:
+        return fraction_text(s.coefficients[0])
+    parts = []
+    for k, c in enumerate(s.coefficients):
+        if c == 0:
+            continue
+        mag = fraction_text(abs(c))
+        if k == 0:
+            term = mag
+        else:
+            zk = "z" if k == 1 else f"z^{k}"
+            term = zk if mag == "1" else f"{mag}*{zk}"
+        parts.append(("-" if c < 0 else "+", term))
+    if not parts:
+        return "0"
+    sign, first = parts[0]
+    text = ("-" if sign == "-" else "") + first
+    for sign, term in parts[1:]:
+        text += f" {sign} {term}"
+    return text
+
+
+# integers up to the 4300-digit int-string limit, small ones most often
+magnitudes = st.one_of(
+    st.integers(0, 12),
+    st.integers(0, 10**30),
+    st.integers(10**4290, 10**4300 - 1),
+)
+coefficient_texts = st.one_of(
+    st.sampled_from(["0", "-0", "+0", "0/7", "-0/3", "+5", "6/4", "-10/15", "007/10"]),
+    st.builds(
+        lambda sign, p, q: f"{sign}{p}" + (f"/{q}" if q else ""),
+        st.sampled_from(["", "+", "-"]),
+        magnitudes,
+        st.one_of(st.none(), st.integers(1, 360), magnitudes.filter(bool)),
+    ),
+)
+
+
+def coefficient_lists(field):
+    n = field.degree
+    return st.one_of(
+        st.lists(coefficient_texts, min_size=n, max_size=n),
+        st.lists(st.sampled_from(["0", "-0", "0/7"]), min_size=n, max_size=n),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TEXT_FIELDS), st.data())
+def test_text_parser_and_writer_match_fraction_path(field, data):
+    texts = data.draw(coefficient_lists(field))
+    doc = texts[0] if field.cyclotomic_order == 1 else texts
+    s = scalar_from_text(field, doc)
+    reference = Scalar(field, [Fraction(t) for t in texts])
+    assert s == reference
+    assert (s.nums, s.den) == (reference.nums, reference.den)
+    written = scalar_to_text(s)
+    expected = [fraction_text(Fraction(t)) for t in texts]
+    assert written == (expected[0] if field.cyclotomic_order == 1 else expected)
+    assert str(s) == fraction_str(reference)
+    assert scalar_from_text(field, written) == s
+
+
+def test_text_writer_refuses_coefficients_past_the_digit_limit():
+    f1 = cyclotomic_field(1)
+    huge = Scalar.rational(f1, 10**5000)
+    with pytest.raises(InputError, match="digits"):
+        scalar_to_text(huge)
+    with pytest.raises(InputError, match="digits"):
+        str(huge)
