@@ -18,27 +18,40 @@ from .grading import Bicharacter
 from .linalg import EvenMap, GradedSpace, MultilinearMap, Vector, check_evenness, is_endomorphism
 
 
-def _validate(space, bichar, named_ops, named_maps):
-    if bichar.group != space.group or bichar.field != space.field:
-        raise InputError("bicharacter group/field does not match the space")
-    for name, op, arity in named_ops:
-        if op.arity != arity:
-            raise InputError(f"{name} must have arity {arity}")
-        if any(sp != space for sp in op.spaces) or op.codomain != space:
-            raise InputError(f"{name} must be an internal map on the bundle space")
-        rep = check_evenness(op)
-        if not rep.passed:
-            raise InputError(f"{name} is not even: {rep.violations[0].describe()}")
-    for name, m in named_maps:
-        if m.space != space:
-            raise InputError(f"{name} must act on the bundle space")
-        rep = check_evenness(m)
-        if not rep.passed:
-            raise InputError(f"{name} is not even: {rep.violations[0].describe()}")
+def _require_even(name, m):
+    rep = check_evenness(m)
+    if not rep.passed:
+        raise InputError(f"{name} is not even: {rep.violations[0].describe()}")
+
+
+class _AlgebraBundle:
+    """The five algebra kinds: a space, a bicharacter, the operations
+    named in ``OPS`` and a twist map.  ``OPS`` lists each operation as
+    (document name, attribute, arity) in field order; it is the one place
+    that says which operations a kind has."""
+
+    def __post_init__(self):
+        space, bichar = self.space, self.bichar
+        if bichar.group != space.group or bichar.field != space.field:
+            raise InputError("bicharacter group/field does not match the space")
+        for _, name, arity in self.OPS:
+            op = getattr(self, name)
+            if op.arity != arity:
+                raise InputError(f"{name} must have arity {arity}")
+            if any(sp != space for sp in op.spaces) or op.codomain != space:
+                raise InputError(f"{name} must be an internal map on the bundle space")
+            _require_even(name, op)
+        if self.twist.space != space:
+            raise InputError("twist alpha must act on the bundle space")
+        _require_even("twist alpha", self.twist)
+
+    def ops(self):
+        """The operations, in ``OPS`` order."""
+        return [getattr(self, name) for _, name, _ in self.OPS]
 
 
 @dataclass(frozen=True)
-class NonAssocBundle:
+class NonAssocBundle(_AlgebraBundle):
     """Graded algebra with one bilinear product and a twist map; no
     identity is assumed (the raw input of the Akivis construction)."""
 
@@ -48,17 +61,11 @@ class NonAssocBundle:
     twist: EvenMap
 
     kind = "nonassociative"
-
-    def __post_init__(self):
-        _validate(self.space, self.bichar, [("product", self.product, 2)],
-                  [("twist alpha", self.twist)])
-
-    def ops(self):
-        return [self.product]
+    OPS = (("product", "product", 2),)
 
 
 @dataclass(frozen=True)
-class AkivisBundle:
+class AkivisBundle(_AlgebraBundle):
     """Binary bracket plus ternary companion with a twist map."""
 
     space: GradedSpace
@@ -68,18 +75,11 @@ class AkivisBundle:
     twist: EvenMap
 
     kind = "akivis"
-
-    def __post_init__(self):
-        _validate(self.space, self.bichar,
-                  [("bracket", self.bracket, 2), ("ternary", self.ternary, 3)],
-                  [("twist alpha", self.twist)])
-
-    def ops(self):
-        return [self.bracket, self.ternary]
+    OPS = (("bracket", "bracket", 2), ("ternary", "ternary", 3))
 
 
 @dataclass(frozen=True)
-class LeibnizBundle:
+class LeibnizBundle(_AlgebraBundle):
     """One bracket and a twist map (left Leibniz law is checked, not assumed)."""
 
     space: GradedSpace
@@ -88,17 +88,11 @@ class LeibnizBundle:
     twist: EvenMap
 
     kind = "leibniz"
-
-    def __post_init__(self):
-        _validate(self.space, self.bichar, [("bracket", self.bracket, 2)],
-                  [("twist alpha", self.twist)])
-
-    def ops(self):
-        return [self.bracket]
+    OPS = (("bracket", "bracket", 2),)
 
 
 @dataclass(frozen=True)
-class NHLPBundle:
+class NHLPBundle(_AlgebraBundle):
     """Bracket and associative-type product sharing one twist map."""
 
     space: GradedSpace
@@ -108,18 +102,11 @@ class NHLPBundle:
     twist: EvenMap
 
     kind = "nhlp"
-
-    def __post_init__(self):
-        _validate(self.space, self.bichar,
-                  [("product", self.product, 2), ("bracket", self.bracket, 2)],
-                  [("twist alpha", self.twist)])
-
-    def ops(self):
-        return [self.product, self.bracket]
+    OPS = (("product", "product", 2), ("bracket", "bracket", 2))
 
 
 @dataclass(frozen=True)
-class DialgebraBundle:
+class DialgebraBundle(_AlgebraBundle):
     """Two binary products with a twist map; ungraded by definition, so a
     graded basis is refused outright."""
 
@@ -130,16 +117,12 @@ class DialgebraBundle:
     twist: EvenMap
 
     kind = "dialgebra"
+    OPS = (("left", "prod_left", 2), ("right", "prod_right", 2))
 
     def __post_init__(self):
         if not self.space.is_trivially_graded():
             raise InputError("dialgebras are ungraded: all degrees must be zero")
-        _validate(self.space, self.bichar,
-                  [("prod_left", self.prod_left, 2), ("prod_right", self.prod_right, 2)],
-                  [("twist alpha", self.twist)])
-
-    def ops(self):
-        return [self.prod_left, self.prod_right]
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -167,17 +150,19 @@ class ModuleBundle:
             raise InputError("act_left must map algebra x module -> module")
         if self.act_right.spaces != (mod, alg.space) or self.act_right.codomain != mod:
             raise InputError("act_right must map module x algebra -> module")
-        for name, op in (("act_left", self.act_left), ("act_right", self.act_right)):
-            rep = check_evenness(op)
-            if not rep.passed:
-                raise InputError(f"{name} is not even: {rep.violations[0].describe()}")
+        _require_even("act_left", self.act_left)
+        _require_even("act_right", self.act_right)
         if self.module_twist.space != mod:
             raise InputError("module_twist must act on the module space")
-        rep = check_evenness(self.module_twist)
-        if not rep.passed:
-            raise InputError(
-                f"module twist alphaM is not even: {rep.violations[0].describe()}"
-            )
+        _require_even("module twist alphaM", self.module_twist)
+
+
+# kind -> bundle class, in the order io.KINDS lists the kinds
+BUNDLE_TYPES = {
+    cls.kind: cls
+    for cls in (NonAssocBundle, AkivisBundle, LeibnizBundle, NHLPBundle,
+                DialgebraBundle, ModuleBundle)
+}
 
 
 def _associator(product: MultilinearMap, twist: EvenMap):

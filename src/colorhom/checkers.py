@@ -25,7 +25,6 @@ per bundle object however many callers ask for it.
 from __future__ import annotations
 
 import functools
-import inspect
 
 from . import tables
 from .bundles import (
@@ -81,20 +80,15 @@ def scan_identity(identity_id, keys, defect_fn, jobs=1, note="") -> CheckReport:
 
 
 def _once_per_bundle(check):
-    """Store check's report on its bundle, keyed by the check and its
-    arguments with defaults applied (an omitted and a default ``mode``
-    share one key).  Bundles are frozen, so a stored report cannot go stale."""
-    signature = inspect.signature(check)
+    """Store check's report on its bundle, keyed by the check.  Bundles
+    are frozen, so a stored report cannot go stale."""
 
     @functools.wraps(check)
-    def memo(bundle, *args, **kwargs):
-        bound = signature.bind(bundle, *args, **kwargs)
-        bound.apply_defaults()
-        key = (check,) + bound.args[1:]
+    def memo(bundle):
         reports = vars(bundle).setdefault("_reports", {})
-        if key not in reports:
-            reports[key] = check(bundle, *args, **kwargs)
-        return reports[key]
+        if check not in reports:
+            reports[check] = check(bundle)
+        return reports[check]
 
     return memo
 
@@ -188,23 +182,21 @@ def _ternary_of(b) -> MultilinearMap:
 
 
 @_once_per_bundle
-def check_flexible_alternative(b, mode="polarized") -> CheckReport:
+def check_flexible_alternative(b) -> CheckReport:
     """Classify the ternary structure (the Hom-associator for algebra
     input, the ternary table for Akivis input).
 
-    flexible, literal mode: T(x, y, x) == 0 on basis tuples, plus the
-    ungraded polarization T(x,y,z) + T(z,y,x) == 0 within equal degrees.
-    flexible, polarized mode: T(x,y,z) + eps(x,z) T(z,y,x) == 0.
+    flexible, literal: T(x, y, x) == 0 on basis tuples, plus the ungraded
+    polarization T(x,y,z) + T(z,y,x) == 0 within equal degrees.
+    flexible, polarized: T(x,y,z) + eps(x,z) T(z,y,x) == 0.
     alternative: T changes sign (with eps factor) under both adjacent
     argument swaps.
 
-    Both flexibility modes are always computed; ``mode`` picks which one
-    feeds the 'flexible' flag.  The composite 'passed' means flexible (in
-    the chosen mode) AND alternative, so treat this as a classifier and
-    read the flags rather than the pass bit.
+    Both flexibility forms are computed and flagged as 'flexible_literal'
+    and 'flexible_polarized'; the 'flexible' flag is the polarized one.
+    The composite 'passed' means polarized-flexible AND alternative, so
+    treat this as a classifier and read the flags rather than the pass bit.
     """
-    if mode not in ("polarized", "literal"):
-        raise InputError(f"unknown flexibility mode {mode!r}")
     space = b.space
     T, eps, unit = tables.table(_ternary_of(b)), _signs(b), tables.unit(space)
     Te, TE = T.entries, T.scaled_by(eps.at, eps.den)  # TE[x][y]: eps(x,y) T
@@ -247,7 +239,7 @@ def check_flexible_alternative(b, mode="polarized") -> CheckReport:
         ),
     )
     flags = {
-        "flexible": (polarized if mode == "polarized" else literal).passed,
+        "flexible": polarized.passed,
         "flexible_literal": literal.passed,
         "flexible_polarized": polarized.passed,
         "alternative": alt_sub.passed,
@@ -256,22 +248,21 @@ def check_flexible_alternative(b, mode="polarized") -> CheckReport:
         "flexible-alternative",
         subreports=(literal, polarized, alt_sub),
         flags=flags,
-        note=f"mode={mode}",
     )
 
 
 @_once_per_bundle
-def check_flexible_akivis_relation(b: AkivisBundle, mode="polarized") -> CheckReport:
+def check_flexible_akivis_relation(b: AkivisBundle) -> CheckReport:
     """For flexible bundles the cyclic bracket sum collapses onto the
     ternary table:
 
         sum_cyc eps(z,x) [[x,y], t(z)]
             == sum_cyc ( eps(z,x) + eps(x,y) eps(y,z) ) T(x,y,z)
 
-    Precondition: flexibility in the requested mode."""
-    classify = check_flexible_alternative(b, mode=mode)
+    Precondition: polarized flexibility."""
+    classify = check_flexible_alternative(b)
     if not classify.flags["flexible"]:
-        failed = classify.subreports[1 if mode == "polarized" else 0]
+        failed = classify.subreports[1]
         return CheckReport("flexible-akivis-relation", precondition_failure=failed)
     space = b.space
     eps, unit = _signs(b), tables.unit(space)

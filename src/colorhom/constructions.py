@@ -58,65 +58,43 @@ def akivis_from_algebra(b: NonAssocBundle) -> AkivisBundle:
     return out
 
 
-def twist_akivis(b: AkivisBundle, beta: EvenMap, n: int) -> AkivisBundle:
-    """n-th twist along a self-map beta commuting with both operations:
-    new bracket = beta^n o bracket, new ternary = beta^(2n) o ternary,
-    new twist map = beta^n o old twist.  n == 0 returns the input shape
-    unchanged."""
+def _twist(b, beta: EvenMap, n: int, check, what):
+    """n-th twist along a self-map beta commuting with every operation: a
+    k-ary operation becomes beta^(n(k-1)) o op and the twist map becomes
+    beta^n o old twist.  n == 0 returns the input shape unchanged."""
     if not isinstance(n, int) or n < 0:
         raise InputError("twist power must be a non-negative integer")
-    _even_endo(beta, b.space, [b.bracket, b.ternary], "twist_akivis")
-    _require(check_akivis_identity(b), "twist_akivis input")
+    ops = b.ops()
+    _even_endo(beta, b.space, ops, what)
+    _require(check(b), f"{what} input")
     bn = beta.power(n)
-    b2n = bn.compose(bn)
-    out = AkivisBundle(
+    out = type(b)(
         b.space,
         b.bichar,
-        b.bracket.map_values(bn),
-        b.ternary.map_values(b2n),
+        *(op.map_values(bn.power(op.arity - 1)) for op in ops),
         bn.compose(b.twist),
     )
     if out == b:  # a fixed point: keep the input and the reports stored on it
         out = b
-    _require(check_akivis_identity(out), "twist_akivis output")
+    _require(check(out), f"{what} output")
     return out
+
+
+def twist_akivis(b: AkivisBundle, beta: EvenMap, n: int) -> AkivisBundle:
+    """New bracket = beta^n o bracket, new ternary = beta^(2n) o ternary,
+    new twist map = beta^n o old twist."""
+    return _twist(b, beta, n, check_akivis_identity, "twist_akivis")
 
 
 def twist_nhlp(b: NHLPBundle, beta: EvenMap, n: int) -> NHLPBundle:
     """Twist product, bracket and twist map by beta^n."""
-    if not isinstance(n, int) or n < 0:
-        raise InputError("twist power must be a non-negative integer")
-    _even_endo(beta, b.space, [b.product, b.bracket], "twist_nhlp")
-    _require(check_nhlp(b), "twist_nhlp input")
-    bn = beta.power(n)
-    out = NHLPBundle(
-        b.space,
-        b.bichar,
-        b.product.map_values(bn),
-        b.bracket.map_values(bn),
-        bn.compose(b.twist),
-    )
-    if out == b:  # a fixed point: keep the input and the reports stored on it
-        out = b
-    _require(check_nhlp(out), "twist_nhlp output")
-    return out
+    return _twist(b, beta, n, check_nhlp, "twist_nhlp")
 
 
 def twist_leibniz(b: LeibnizBundle, beta: EvenMap, n: int) -> LeibnizBundle:
     """Bracket-only twist (the zero-product specialization of the
     Leibniz-Poisson twist)."""
-    if not isinstance(n, int) or n < 0:
-        raise InputError("twist power must be a non-negative integer")
-    _even_endo(beta, b.space, [b.bracket], "twist_leibniz")
-    _require(check_color_leibniz(b), "twist_leibniz input")
-    bn = beta.power(n)
-    out = LeibnizBundle(
-        b.space, b.bichar, b.bracket.map_values(bn), bn.compose(b.twist)
-    )
-    if out == b:  # a fixed point: keep the input and the reports stored on it
-        out = b
-    _require(check_color_leibniz(out), "twist_leibniz output")
-    return out
+    return _twist(b, beta, n, check_color_leibniz, "twist_leibniz")
 
 
 def nhlp_opposite(b: NHLPBundle) -> NHLPBundle:

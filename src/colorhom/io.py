@@ -14,21 +14,14 @@ whitespace-only changes to its input.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field as dataclass_field
 
 from . import __version__
-from .bundles import (
-    AkivisBundle,
-    DialgebraBundle,
-    LeibnizBundle,
-    ModuleBundle,
-    NHLPBundle,
-    NonAssocBundle,
-    is_multiplicative,
-    is_sign_commutative,
-)
+from .bundles import BUNDLE_TYPES, ModuleBundle, is_multiplicative, is_sign_commutative
 from .checkers import (
     check_akivis_identity,
     check_color_leibniz,
@@ -52,15 +45,8 @@ from .scalars import Scalar, cyclotomic_field, scalar_from_text, scalar_to_text
 BUNDLE_SCHEMA = "colorhom-bundle/1"
 REPORT_SCHEMA = "colorhom-report/1"
 
-_OPS_BY_KIND = {
-    "nonassociative": (("product", 2),),
-    "akivis": (("bracket", 2), ("ternary", 3)),
-    "leibniz": (("bracket", 2),),
-    "nhlp": (("product", 2), ("bracket", 2)),
-    "dialgebra": (("left", 2), ("right", 2)),
-}
-
-KINDS = tuple(_OPS_BY_KIND) + ("module",)
+KINDS = tuple(BUNDLE_TYPES)
+_INDEX_RE = re.compile(r"0|[1-9][0-9]*", re.ASCII)
 
 
 @dataclass
@@ -144,17 +130,25 @@ def _parse_space(doc, path):
     return space, bichar
 
 
+@functools.lru_cache(maxsize=16)
+def _index_keys(dim):
+    """The one spelling of each basis index below dim, so no two keys of
+    an object name the same index."""
+    return {str(i): i for i in range(dim)}
+
+
 def _parse_vector(space, data, path):
     if not isinstance(data, dict):
         _fail(path, "expected an index -> scalar object")
+    indices = _index_keys(space.dim)
     coeffs = {}
     for key, text in data.items():
-        try:
-            i = int(key)
-        except ValueError:
-            _fail(path, f"non-integer basis index {key!r}")
-        if not (0 <= i < space.dim):
-            _fail(path, f"basis index {i} out of range 0..{space.dim - 1}")
+        i = indices.get(key)
+        if i is None:
+            if isinstance(key, str) and _INDEX_RE.fullmatch(key):
+                _fail(path, f"basis index {key} out of range 0..{space.dim - 1}")
+            _fail(path, f"malformed basis index {key!r} "
+                        "(expected ASCII digits without sign or leading zeros)")
         coeffs[i] = _parse_scalar(space.field, text, f"{path}.{key}")
     return Vector(space, coeffs)
 
@@ -221,11 +215,12 @@ def parse_document(doc) -> ParsedDocument:
         _fail("document.kind", f"unknown kind {kind!r} (expected one of {KINDS})")
     if kind == "module":
         return _parse_module(doc)
+    bundle_type = BUNDLE_TYPES[kind]
 
     space, bichar = _parse_space(doc, "document")
     ops_doc = _get(doc, "ops", "document", dict)
     ops = {}
-    for name, arity in _OPS_BY_KIND[kind]:
+    for name, _, arity in bundle_type.OPS:
         entries = _get(ops_doc, name, "document.ops", list)
         ops[name] = _parse_table((space,) * arity, space, entries, f"document.ops.{name}")
     for name in ops_doc:
@@ -241,16 +236,7 @@ def parse_document(doc) -> ParsedDocument:
         extras[name] = _parse_extra_map(space, rows, f"document.maps.{name}")
 
     try:
-        if kind == "nonassociative":
-            bundle = NonAssocBundle(space, bichar, ops["product"], twist)
-        elif kind == "akivis":
-            bundle = AkivisBundle(space, bichar, ops["bracket"], ops["ternary"], twist)
-        elif kind == "leibniz":
-            bundle = LeibnizBundle(space, bichar, ops["bracket"], twist)
-        elif kind == "nhlp":
-            bundle = NHLPBundle(space, bichar, ops["product"], ops["bracket"], twist)
-        else:
-            bundle = DialgebraBundle(space, bichar, ops["left"], ops["right"], twist)
+        bundle = bundle_type(space, bichar, *ops.values(), twist)
     except InputError as e:
         _fail("document", str(e))
     return ParsedDocument(bundle, extras)
@@ -339,16 +325,8 @@ def serialize_bundle(bundle, extra_maps=None) -> dict:
     else:
         doc = {"schema": BUNDLE_SCHEMA, "kind": bundle.kind}
         doc.update(_space_doc(bundle.space, bundle.bichar))
-        names = _OPS_BY_KIND[bundle.kind]
-        attrs = {
-            "product": "product",
-            "bracket": "bracket",
-            "ternary": "ternary",
-            "left": "prod_left",
-            "right": "prod_right",
-        }
         doc["ops"] = {
-            name: _table_doc(getattr(bundle, attrs[name])) for name, _ in names
+            name: _table_doc(getattr(bundle, attr)) for name, attr, _ in bundle.OPS
         }
         doc["maps"] = {"alpha": _matrix_doc(bundle.twist)}
         for name, m in (extra_maps or {}).items():
@@ -392,9 +370,9 @@ def loads_document(text) -> dict:
 # full per-kind check suites and report documents
 
 
-# A bundle cannot be built with an odd map (bundles._validate,
-# ModuleBundle.__post_init__) or an invalid bicharacter (Bicharacter.__init__),
-# so these two report lines state that guarantee instead of re-checking it.
+# A bundle cannot be built with an odd map (the bundles' __post_init__) or
+# an invalid bicharacter (Bicharacter.__init__), so these two report lines
+# state that guarantee instead of re-checking it.
 _EVENNESS = CheckReport("evenness")
 _BICHAR_AXIOMS = CheckReport("bicharacter-axioms")
 

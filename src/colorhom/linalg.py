@@ -269,15 +269,14 @@ class EvenMap:
         """Exact n-th compositional power, n >= 0 (power 0 is the identity)."""
         if n < 0:
             raise InputError("map power must be >= 0")
-        result = EvenMap.identity(self.space)
-        base = self
+        result, base = None, self
         while n:
             if n & 1:
-                result = result.compose(base)
+                result = base if result is None else result.compose(base)
             n >>= 1
             if n:
                 base = base.compose(base)
-        return result
+        return EvenMap.identity(self.space) if result is None else result
 
     def is_identity(self):
         return self == EvenMap.identity(self.space)

@@ -18,7 +18,7 @@ from math import gcd, lcm
 from ._backend import kernel as _K
 from .errors import InputError, too_many_digits
 
-_FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$")
+_FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$", re.ASCII)
 
 
 def _poly_divexact(num, den):

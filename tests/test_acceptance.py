@@ -238,8 +238,8 @@ def test_criterion_03_flexible_alternative_transfer():
         if flags["flexible"]:
             assert ak_flags["flexible"], "flexibility must transfer (polarized)"
             flexible_cases += 1
-        if check_flexible_alternative(b, mode="literal").flags["flexible"]:
-            assert check_flexible_alternative(ak, mode="literal").flags["flexible"]
+        if flags["flexible_literal"]:
+            assert ak_flags["flexible_literal"]
         if flags["alternative"]:
             assert ak_flags["alternative"], "alternativity must transfer"
             alternative_cases += 1

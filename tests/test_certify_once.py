@@ -92,13 +92,11 @@ def test_twist_fixed_point_returns_input(scan_ledger):
     assert len(scan_ledger) == before
 
 
-def test_stored_report_is_keyed_by_mode():
+def test_stored_report_is_keyed_by_check():
     b = fresh_bundle("akivis-A")
-    polarized = check_flexible_alternative(b)
-    literal = check_flexible_alternative(b, mode="literal")
-    assert polarized.note == "mode=polarized"
-    assert literal.note == "mode=literal"
-    assert check_flexible_alternative(b, "polarized") is polarized
+    classify = check_flexible_alternative(b)
+    assert check_flexible_alternative(b) is classify
+    assert checkers.check_skew_symmetry(b) is not classify
 
 
 @pytest.mark.parametrize("name", fixture_names())

@@ -2,13 +2,14 @@
 and iterated-twist algebra."""
 
 import inspect
+import random
 from fractions import Fraction
 
 import pytest
 
 import genutil as G
 from colorhom import checkers, constructions
-from colorhom.bundles import LeibnizBundle, NHLPBundle
+from colorhom.bundles import LeibnizBundle, NHLPBundle, NonAssocBundle
 from colorhom.checkers import (
     check_akivis_identity,
     check_color_leibniz,
@@ -101,6 +102,27 @@ def test_twist_akivis_square_exact():
     assert table_of(out.bracket) == {(0, 1): {1: "9"}, (1, 0): {1: "-9"}}
     assert out.twist == EvenMap.diagonal(ak.space, [1, 9])
     assert twist_akivis(twist_akivis(ak, beta, 1), beta, 1) == out
+
+
+def test_twist_akivis_ternary_takes_the_doubled_power():
+    """akivis-A's ternary is zero, so this draws Akivis bundles with a
+    nonzero ternary the way acceptance criterion 2 does."""
+    rng = random.Random(202)
+    distinguishing = 0
+    for _ in range(30):
+        space, bichar = G.random_setup(rng, 4)
+        weights = G.random_weights(rng, space.dim)
+        mu = G.weighted_table(rng, space, weights, density=0.7)
+        beta = G.weight_endo(space, weights, rng.choice((2, 3)))
+        alpha = G.weight_endo(space, weights, rng.choice((1, 2)))
+        b = akivis_from_algebra(NonAssocBundle(space, bichar, mu, alpha))
+        n = rng.choice((1, 2))
+        out = twist_akivis(b, beta, n)
+        assert out.bracket == b.bracket.map_values(beta.power(n))
+        assert out.ternary == b.ternary.map_values(beta.power(2 * n))
+        assert out.twist == beta.power(n).compose(b.twist)
+        distinguishing += out.ternary != b.ternary.map_values(beta.power(n))
+    assert distinguishing >= 5
 
 
 def test_twist_akivis_rejects_non_endomorphism():

@@ -273,7 +273,7 @@ def scans(monkeypatch):
                         lambda b: CheckReport("color-hom-leibniz"))
     monkeypatch.setattr(
         checkers, "check_flexible_alternative",
-        lambda b, mode="polarized": CheckReport(
+        lambda b: CheckReport(
             "flexible-alternative", flags={"flexible": True}))
     scan = checkers.scan_identity
     captured = []

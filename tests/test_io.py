@@ -2,6 +2,7 @@
 and the composite verdicts produced by full_check."""
 
 import copy
+import dataclasses
 import json
 import random
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorhom import io
-from colorhom.bundles import NonAssocBundle
+from colorhom.bundles import BUNDLE_TYPES, NonAssocBundle
 from colorhom.errors import InputError
 from colorhom.fixtures import fixture, fixture_document, fixture_names
 from colorhom.grading import GradingGroup
@@ -213,6 +214,50 @@ def test_strict_scalar_strings_in_documents():
 
     with pytest.raises(InputError):
         io.parse_document(broken("leibniz-L2", mutate))
+
+
+@pytest.mark.parametrize(
+    "out, path",
+    [
+        # "00" would overwrite "0" and the entry would read 5*e1
+        ({"0": "1", "00": "5"}, "document.ops.bracket[0].out"),
+        ({" 0 ": "1"}, "document.ops.bracket[0].out"),
+        ({"0_1": "1"}, "document.ops.bracket[0].out"),  # int() reads 1
+        ({"\u0660": "1"}, "document.ops.bracket[0].out"),  # ARABIC-INDIC ZERO
+        ({"0": "\u0661\u0662"}, "document.ops.bracket[0].out.0"),  # "12"
+    ],
+)
+def test_one_ascii_spelling_per_index_and_scalar(out, path):
+    def mutate(d):
+        d["ops"]["bracket"][0]["out"] = out
+
+    with pytest.raises(InputError) as exc:
+        io.parse_document(broken("leibniz-L2", mutate))
+    assert str(exc.value).startswith(path + ":")
+
+
+def test_oversized_basis_index_is_out_of_range():
+    def mutate(d):
+        d["ops"]["bracket"][0]["out"] = {"1" * 5000: "1"}
+
+    with pytest.raises(InputError) as exc:
+        io.parse_document(broken("leibniz-L2", mutate))
+    assert "out of range" in str(exc.value)
+
+
+@pytest.mark.parametrize("kind", [k for k in io.KINDS if k != "module"])
+def test_ops_declare_each_kind_once(kind):
+    """OPS names the fields between bichar and twist, in order, and the
+    document carries each operation under its OPS name."""
+    bundle_type = BUNDLE_TYPES[kind]
+    fields = [f.name for f in dataclasses.fields(bundle_type)]
+    assert fields[:2] == ["space", "bichar"] and fields[-1] == "twist"
+    assert [attr for _, attr, _ in bundle_type.OPS] == fields[2:-1]
+    name = next(n for n in fixture_names() if fixture(n).bundle.kind == kind)
+    doc = io.serialize_bundle(reparse(fixture_document(name)).bundle)
+    assert list(doc["ops"]) == [doc_name for doc_name, _, _ in bundle_type.OPS]
+    bundle = reparse(doc).bundle
+    assert [op.arity for op in bundle.ops()] == [k for _, _, k in bundle_type.OPS]
 
 
 # ---------------------------------------------------------------------------
