@@ -17,7 +17,6 @@ from .bundles import (
     NHLPBundle,
     NonAssocBundle,
     associator_map,
-    hom_associator,
     is_multiplicative,
     is_sign_commutative,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "document_digest",
     "dumps_document",
     "full_check",
-    "hom_associator",
     "is_multiplicative",
     "is_sign_commutative",
     "leibniz_from_dialgebra",

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from . import tables
 from .errors import InputError
 from .grading import Bicharacter
-from .linalg import EvenMap, GradedSpace, MultilinearMap, Vector, check_evenness, is_endomorphism
+from .linalg import EvenMap, GradedSpace, MultilinearMap, check_evenness, is_endomorphism
 
 
 def _require_even(name, m):
@@ -24,30 +24,45 @@ def _require_even(name, m):
         raise InputError(f"{name} is not even: {rep.violations[0].describe()}")
 
 
-class _AlgebraBundle:
-    """The five algebra kinds: a space, a bicharacter, the operations
-    named in ``OPS`` and a twist map.  ``OPS`` lists each operation as
-    (document name, attribute, arity) in field order; it is the one place
-    that says which operations a kind has."""
+class _Bundle:
+    """Every kind declares its maps once.  ``OPS`` lists each operation as
+    (document name, attribute, argument spaces) in field order, where
+    ``S`` is the bundle's own space and ``A`` the acting algebra's; every
+    operation maps into S.  ``TWIST`` is (document name, attribute) of the
+    twist map on S.  ``EXTRA_MAPS`` says whether a document may carry
+    further maps (candidate twisting maps such as beta)."""
 
-    def __post_init__(self):
-        space, bichar = self.space, self.bichar
-        if bichar.group != space.group or bichar.field != space.field:
-            raise InputError("bicharacter group/field does not match the space")
-        for _, name, arity in self.OPS:
-            op = getattr(self, name)
-            if op.arity != arity:
-                raise InputError(f"{name} must have arity {arity}")
-            if any(sp != space for sp in op.spaces) or op.codomain != space:
-                raise InputError(f"{name} must be an internal map on the bundle space")
-            _require_even(name, op)
-        if self.twist.space != space:
-            raise InputError("twist alpha must act on the bundle space")
-        _require_even("twist alpha", self.twist)
+    EXTRA_MAPS = True
 
     def ops(self):
         """The operations, in ``OPS`` order."""
-        return [getattr(self, name) for _, name, _ in self.OPS]
+        return [getattr(self, attr) for _, attr, _ in self.OPS]
+
+    def _check_maps(self, spaces):
+        """Check each operation's spaces and evenness, then the twist's."""
+        space = spaces["S"]
+        for _, attr, args in self.OPS:
+            op = getattr(self, attr)
+            if op.spaces != tuple(spaces[s] for s in args) or op.codomain != space:
+                raise InputError(f"{attr} must map {' x '.join(args)} -> S (see OPS)")
+            _require_even(attr, op)
+        name, attr = self.TWIST
+        twist = getattr(self, attr)
+        label = f"{attr.replace('_', ' ')} {name}"  # 'twist alpha', 'module twist alphaM'
+        if twist.space != space:
+            raise InputError(f"{label} must act on the bundle space")
+        _require_even(label, twist)
+
+
+class _AlgebraBundle(_Bundle):
+    """The five algebra kinds: a space and a bicharacter, then the maps."""
+
+    TWIST = ("alpha", "twist")
+
+    def __post_init__(self):
+        if self.bichar.group != self.space.group or self.bichar.field != self.space.field:
+            raise InputError("bicharacter group/field does not match the space")
+        self._check_maps({"S": self.space})
 
 
 @dataclass(frozen=True)
@@ -61,7 +76,7 @@ class NonAssocBundle(_AlgebraBundle):
     twist: EvenMap
 
     kind = "nonassociative"
-    OPS = (("product", "product", 2),)
+    OPS = (("product", "product", "SS"),)
 
 
 @dataclass(frozen=True)
@@ -75,7 +90,7 @@ class AkivisBundle(_AlgebraBundle):
     twist: EvenMap
 
     kind = "akivis"
-    OPS = (("bracket", "bracket", 2), ("ternary", "ternary", 3))
+    OPS = (("bracket", "bracket", "SS"), ("ternary", "ternary", "SSS"))
 
 
 @dataclass(frozen=True)
@@ -88,7 +103,7 @@ class LeibnizBundle(_AlgebraBundle):
     twist: EvenMap
 
     kind = "leibniz"
-    OPS = (("bracket", "bracket", 2),)
+    OPS = (("bracket", "bracket", "SS"),)
 
 
 @dataclass(frozen=True)
@@ -102,7 +117,7 @@ class NHLPBundle(_AlgebraBundle):
     twist: EvenMap
 
     kind = "nhlp"
-    OPS = (("product", "product", 2), ("bracket", "bracket", 2))
+    OPS = (("product", "product", "SS"), ("bracket", "bracket", "SS"))
 
 
 @dataclass(frozen=True)
@@ -117,7 +132,7 @@ class DialgebraBundle(_AlgebraBundle):
     twist: EvenMap
 
     kind = "dialgebra"
-    OPS = (("left", "prod_left", 2), ("right", "prod_right", 2))
+    OPS = (("left", "prod_left", "SS"), ("right", "prod_right", "SS"))
 
     def __post_init__(self):
         if not self.space.is_trivially_graded():
@@ -126,7 +141,7 @@ class DialgebraBundle(_AlgebraBundle):
 
 
 @dataclass(frozen=True)
-class ModuleBundle:
+class ModuleBundle(_Bundle):
     """Two-sided module over a Leibniz bundle.
 
     act_left : algebra x module -> module,  act_right : module x algebra
@@ -141,20 +156,15 @@ class ModuleBundle:
     module_twist: EvenMap
 
     kind = "module"
+    OPS = (("action_left", "act_left", "AS"), ("action_right", "act_right", "SA"))
+    TWIST = ("alphaM", "module_twist")
+    EXTRA_MAPS = False
 
     def __post_init__(self):
         alg, mod = self.algebra, self.module_space
         if mod.field != alg.space.field or mod.group != alg.space.group:
             raise InputError("module space must share the algebra's field and group")
-        if self.act_left.spaces != (alg.space, mod) or self.act_left.codomain != mod:
-            raise InputError("act_left must map algebra x module -> module")
-        if self.act_right.spaces != (mod, alg.space) or self.act_right.codomain != mod:
-            raise InputError("act_right must map module x algebra -> module")
-        _require_even("act_left", self.act_left)
-        _require_even("act_right", self.act_right)
-        if self.module_twist.space != mod:
-            raise InputError("module_twist must act on the module space")
-        _require_even("module twist alphaM", self.module_twist)
+        self._check_maps({"S": mod, "A": alg.space})
 
 
 # kind -> bundle class, in the order io.KINDS lists the kinds
@@ -172,12 +182,6 @@ def _associator(product: MultilinearMap, twist: EvenMap):
         tables.twisted_right(1, P, P, tw),
         tables.twisted_left(-1, P, P, tw),
     )
-
-
-def hom_associator(product: MultilinearMap, twist: EvenMap, x, y, z) -> Vector:
-    """product(product(x,y), twist(z)) - product(twist(x), product(y,z))
-    on basis indices x, y, z."""
-    return _associator(product, twist)((x, y, z)) or Vector.zero(product.codomain)
 
 
 def associator_map(product: MultilinearMap, twist: EvenMap) -> MultilinearMap:

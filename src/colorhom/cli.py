@@ -142,6 +142,8 @@ def cmd_twist(args):
     if bundle.kind == "module":
         if not args.module:
             raise InputError("module documents are twisted with --module")
+        if args.map != "alpha":
+            raise InputError(f"--map {args.map!r} does not apply to module documents")
         out = bundle
         for _ in range(args.power):
             out = twist_module(out)
@@ -208,7 +210,8 @@ def build_parser():
     p.add_argument("input")
     p.add_argument("output", help="output path, or - for standard output")
     p.add_argument("--map", default="alpha",
-                   help="name of the twisting map in the document (default alpha)")
+                   help="name of the twisting map in the document (default alpha; "
+                        "module documents take no --map)")
     p.add_argument("--power", type=int, default=1)
     p.add_argument("--module", action="store_true",
                    help="twist a module document along its algebra twist")

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field as dataclass_field
 
 from . import __version__
-from .bundles import BUNDLE_TYPES, ModuleBundle, is_multiplicative, is_sign_commutative
+from .bundles import BUNDLE_TYPES, is_multiplicative, is_sign_commutative
 from .checkers import (
     check_akivis_identity,
     check_color_leibniz,
@@ -62,13 +62,16 @@ def _fail(path, message):
     raise InputError(f"{path}: {message}")
 
 
-def _get(doc, key, path, types, required=True, default=None):
+def _is_int(value):
+    """A JSON integer (bool is an int subclass; true is not an integer)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _get(doc, key, path, types):
     if key not in doc:
-        if required:
-            _fail(path, f"missing key {key!r}")
-        return default
+        _fail(path, f"missing key {key!r}")
     value = doc[key]
-    if not isinstance(value, types):
+    if not isinstance(value, types) or isinstance(value, bool):
         _fail(f"{path}.{key}", f"expected {types}, got {type(value).__name__}")
     return value
 
@@ -80,7 +83,8 @@ def _parse_scalar(field, data, path):
         _fail(path, str(e))
 
 
-def _parse_space(doc, path):
+def _parse_header(doc, path):
+    """An algebra document's bicharacter, which carries its field and group."""
     fdoc = _get(doc, "field", path, dict)
     order = _get(fdoc, "cyclotomic_order", f"{path}.field", int)
     if order < 1:
@@ -111,7 +115,10 @@ def _parse_space(doc, path):
         bichar = Bicharacter(group, field, matrix)
     except InputError as e:
         _fail(f"{path}.bicharacter", str(e))
+    return bichar
 
+
+def _parse_basis(doc, path, field, group):
     basis_doc = _get(doc, "basis", path, list)
     names_degrees = []
     for k, item in enumerate(basis_doc):
@@ -119,7 +126,7 @@ def _parse_space(doc, path):
             _fail(f"{path}.basis[{k}]", "expected an object")
         name = _get(item, "name", f"{path}.basis[{k}]", str)
         deg = _get(item, "degree", f"{path}.basis[{k}]", list)
-        if len(deg) != group.rank or not all(isinstance(c, int) for c in deg):
+        if len(deg) != group.rank or not all(_is_int(c) for c in deg):
             _fail(f"{path}.basis[{k}].degree",
                   f"expected {group.rank} integer coordinates")
         names_degrees.append((name, tuple(deg)))
@@ -127,7 +134,7 @@ def _parse_space(doc, path):
         space = GradedSpace.build(field, group, names_degrees)
     except InputError as e:
         _fail(f"{path}.basis", str(e))
-    return space, bichar
+    return space
 
 
 @functools.lru_cache(maxsize=16)
@@ -162,7 +169,7 @@ def _parse_table(spaces, codomain, entries, path):
         if not isinstance(entry, dict):
             _fail(here, "expected an object with args/out")
         args = _get(entry, "args", here, list)
-        if len(args) != len(spaces) or not all(isinstance(a, int) for a in args):
+        if len(args) != len(spaces) or not all(_is_int(a) for a in args):
             _fail(f"{here}.args", f"expected {len(spaces)} integer indices")
         for a, sp in zip(args, spaces):
             if not (0 <= a < sp.dim):
@@ -213,71 +220,46 @@ def parse_document(doc) -> ParsedDocument:
     kind = _get(doc, "kind", "document", str)
     if kind not in KINDS:
         _fail("document.kind", f"unknown kind {kind!r} (expected one of {KINDS})")
-    if kind == "module":
-        return _parse_module(doc)
     bundle_type = BUNDLE_TYPES[kind]
 
-    space, bichar = _parse_space(doc, "document")
+    if kind == "module":
+        algebra = parse_document(_get(doc, "algebra", "document", dict)).bundle
+        if algebra.kind != "leibniz":
+            _fail("document.algebra.kind", "module documents embed a leibniz algebra")
+        aspace = algebra.space
+        space = _parse_basis(doc, "document", aspace.field, aspace.group)
+        head, spaces = (algebra, space), {"S": space, "A": aspace}
+    else:
+        bichar = _parse_header(doc, "document")
+        space = _parse_basis(doc, "document", bichar.field, bichar.group)
+        head, spaces = (space, bichar), {"S": space}
+
     ops_doc = _get(doc, "ops", "document", dict)
     ops = {}
-    for name, _, arity in bundle_type.OPS:
+    for name, _, args in bundle_type.OPS:
         entries = _get(ops_doc, name, "document.ops", list)
-        ops[name] = _parse_table((space,) * arity, space, entries, f"document.ops.{name}")
+        ops[name] = _parse_table(tuple(spaces[s] for s in args), space, entries,
+                                 f"document.ops.{name}")
     for name in ops_doc:
         if name not in ops:
             _fail(f"document.ops.{name}", f"unexpected operation for kind {kind!r}")
     maps_doc = _get(doc, "maps", "document", dict)
-    twist = _parse_matrix(space, _get(maps_doc, "alpha", "document.maps", list),
-                          "document.maps.alpha")
+    twist_name, _ = bundle_type.TWIST
+    twist = _parse_matrix(space, _get(maps_doc, twist_name, "document.maps", list),
+                          f"document.maps.{twist_name}")
     extras = {}
     for name, rows in maps_doc.items():
-        if name == "alpha":
+        if name == twist_name:
             continue
+        if not bundle_type.EXTRA_MAPS:
+            _fail(f"document.maps.{name}", f"{kind} documents carry only {twist_name!r}")
         extras[name] = _parse_extra_map(space, rows, f"document.maps.{name}")
 
     try:
-        bundle = bundle_type(space, bichar, *ops.values(), twist)
+        bundle = bundle_type(*head, *ops.values(), twist)
     except InputError as e:
         _fail("document", str(e))
     return ParsedDocument(bundle, extras)
-
-
-def _parse_module(doc) -> ParsedDocument:
-    adoc = _get(doc, "algebra", "document", dict)
-    inner = parse_document(adoc)
-    if inner.bundle.kind != "leibniz":
-        _fail("document.algebra.kind", "module documents embed a leibniz algebra")
-    alg = inner.bundle
-    msp_doc = {
-        "field": adoc["field"],
-        "grading": adoc["grading"],
-        "bicharacter": adoc["bicharacter"],
-        "basis": _get(doc, "basis", "document", list),
-    }
-    mspace, _ = _parse_space(msp_doc, "document")
-    ops_doc = _get(doc, "ops", "document", dict)
-    act_left = _parse_table(
-        (alg.space, mspace), mspace,
-        _get(ops_doc, "action_left", "document.ops", list), "document.ops.action_left"
-    )
-    act_right = _parse_table(
-        (mspace, alg.space), mspace,
-        _get(ops_doc, "action_right", "document.ops", list), "document.ops.action_right"
-    )
-    for name in ops_doc:
-        if name not in ("action_left", "action_right"):
-            _fail(f"document.ops.{name}", "unexpected operation for kind 'module'")
-    maps_doc = _get(doc, "maps", "document", dict)
-    tM = _parse_matrix(mspace, _get(maps_doc, "alphaM", "document.maps", list),
-                       "document.maps.alphaM")
-    for name in maps_doc:
-        if name != "alphaM":
-            _fail(f"document.maps.{name}", "module documents carry only 'alphaM'")
-    try:
-        bundle = ModuleBundle(alg, mspace, act_left, act_right, tM)
-    except InputError as e:
-        _fail("document", str(e))
-    return ParsedDocument(bundle, {})
 
 
 def _vector_doc(v: Vector):
@@ -294,45 +276,32 @@ def _matrix_doc(m: EvenMap):
     return [[scalar_to_text(c) for c in row] for row in m.rows]
 
 
-def _space_doc(space, bichar):
-    return {
-        "field": {"cyclotomic_order": space.field.cyclotomic_order},
-        "grading": {
-            "free_rank": space.group.free_rank,
-            "torsion": list(space.group.torsion_orders),
-        },
-        "bicharacter": [[scalar_to_text(e) for e in row] for row in bichar.matrix],
-        "basis": [
-            {"name": name, "degree": list(deg.coords)} for name, deg in space.basis
-        ],
-    }
-
-
 def serialize_bundle(bundle, extra_maps=None) -> dict:
     """Inverse of parse_document (up to key order)."""
+    doc = {"schema": BUNDLE_SCHEMA, "kind": bundle.kind}
     if bundle.kind == "module":
-        doc = {
-            "schema": BUNDLE_SCHEMA,
-            "kind": "module",
-            "algebra": serialize_bundle(bundle.algebra),
-            "basis": _space_doc(bundle.module_space, bundle.algebra.bichar)["basis"],
-            "ops": {
-                "action_left": _table_doc(bundle.act_left),
-                "action_right": _table_doc(bundle.act_right),
-            },
-            "maps": {"alphaM": _matrix_doc(bundle.module_twist)},
-        }
+        doc["algebra"] = serialize_bundle(bundle.algebra)
+        space = bundle.module_space
     else:
-        doc = {"schema": BUNDLE_SCHEMA, "kind": bundle.kind}
-        doc.update(_space_doc(bundle.space, bundle.bichar))
-        doc["ops"] = {
-            name: _table_doc(getattr(bundle, attr)) for name, attr, _ in bundle.OPS
+        space, bichar = bundle.space, bundle.bichar
+        doc["field"] = {"cyclotomic_order": space.field.cyclotomic_order}
+        doc["grading"] = {
+            "free_rank": space.group.free_rank,
+            "torsion": list(space.group.torsion_orders),
         }
-        doc["maps"] = {"alpha": _matrix_doc(bundle.twist)}
-        for name, m in (extra_maps or {}).items():
-            if name in ("alpha",):
-                raise InputError("extra map may not be named 'alpha'")
-            doc["maps"][name] = _matrix_doc(m)
+        doc["bicharacter"] = [[scalar_to_text(e) for e in row] for row in bichar.matrix]
+    doc["basis"] = [
+        {"name": name, "degree": list(deg.coords)} for name, deg in space.basis
+    ]
+    doc["ops"] = {name: _table_doc(getattr(bundle, attr)) for name, attr, _ in bundle.OPS}
+    twist_name, attr = bundle.TWIST
+    doc["maps"] = {twist_name: _matrix_doc(getattr(bundle, attr))}
+    for name, m in (extra_maps or {}).items():
+        if not bundle.EXTRA_MAPS:
+            raise InputError(f"{bundle.kind} documents carry only {twist_name!r}")
+        if name == twist_name:
+            raise InputError(f"extra map may not be named {twist_name!r}")
+        doc["maps"][name] = _matrix_doc(m)
     return doc
 
 

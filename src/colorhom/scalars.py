@@ -171,9 +171,6 @@ class Scalar:
     def is_one(self):
         return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
-    def is_rational(self):
-        return not any(self.nums[1:])
-
     def __bool__(self):
         return any(self.nums)
 

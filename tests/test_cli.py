@@ -266,6 +266,14 @@ def test_twist_module_needs_flag(capsys):
     assert doc["ops"] == fixture_document("module-M")["ops"]
 
 
+def test_twist_module_refuses_other_maps(capsys):
+    code, out, err = run(capsys, "twist", "fixtures/module-M", "-", "--module",
+                         "--map", "nosuch")
+    assert code == 2
+    assert out == ""
+    assert "--map 'nosuch'" in err
+
+
 def test_twist_non_endomorphism_refused(tmp_path, capsys):
     doc = fixture_document("akivis-A")
     p = tmp_path / "a.json"

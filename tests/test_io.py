@@ -10,7 +10,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorhom import io
+from colorhom import grading, io
 from colorhom.bundles import BUNDLE_TYPES, NonAssocBundle
 from colorhom.errors import InputError
 from colorhom.fixtures import fixture, fixture_document, fixture_names
@@ -193,6 +193,39 @@ def test_module_documents_reject_extra_maps():
     assert "maps" in str(exc.value) or "beta" in str(exc.value)
 
 
+def test_module_serializer_refuses_extra_maps():
+    module = fixture("module-M").bundle
+    beta = EvenMap.identity(module.module_space)
+    with pytest.raises(InputError) as exc:
+        io.serialize_bundle(module, extra_maps={"beta": beta})
+    assert "alphaM" in str(exc.value)
+
+
+def test_graded_module_round_trip():
+    module = regular_module(fixture("leibniz-S1").bundle)
+    assert not module.module_space.is_trivially_graded()
+    doc = io.serialize_bundle(module)
+    again = reparse(doc)
+    assert again.bundle == module and again.extra_maps == {}
+    assert io.serialize_bundle(again.bundle) == doc
+
+
+@pytest.mark.parametrize("name", ["module-M", "leibniz-L2"])
+def test_parse_validates_the_bicharacter_once(monkeypatch, name):
+    """A module document's algebra is parsed once; its basis is read on
+    that algebra's field and group, not on a second parse of them."""
+    calls = []
+    validate = grading.validate_bicharacter
+
+    def counting(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(grading, "validate_bicharacter", counting)
+    io.parse_document(fixture_document(name))
+    assert len(calls) == 1
+
+
 def test_module_algebra_must_be_leibniz():
     def mutate(d):
         d["algebra"]["kind"] = "nonassociative"
@@ -245,19 +278,60 @@ def test_oversized_basis_index_is_out_of_range():
     assert "out of range" in str(exc.value)
 
 
-@pytest.mark.parametrize("kind", [k for k in io.KINDS if k != "module"])
+@pytest.mark.parametrize(
+    "name, mutate, path",
+    [
+        ("leibniz-L2", lambda d: d["field"].update(cyclotomic_order=True),
+         "document.field.cyclotomic_order"),
+        ("leibniz-L2", lambda d: d["grading"].update(free_rank=False),
+         "document.grading.free_rank"),
+        ("leibniz-S1", lambda d: d["basis"][0].update(degree=[True]),
+         "document.basis[0].degree"),
+        ("leibniz-L2", lambda d: d["ops"]["bracket"][0].update(args=[True, True]),
+         "document.ops.bracket[0].args"),
+    ],
+)
+def test_json_booleans_are_not_integers(name, mutate, path):
+    """true and false parsed as 1 and 0 would give one bundle two
+    documents (serializing writes the integers back)."""
+    with pytest.raises(InputError) as exc:
+        io.parse_document(broken(name, mutate))
+    assert str(exc.value).startswith(path + ":")
+
+
+@pytest.mark.parametrize("kind", io.KINDS)
 def test_ops_declare_each_kind_once(kind):
-    """OPS names the fields between bichar and twist, in order, and the
-    document carries each operation under its OPS name."""
+    """OPS names the fields between the two head fields and the twist, in
+    order, TWIST names the last field, the document carries each map
+    under its declared name, and each parsed operation acts on the spaces
+    its OPS entry names."""
     bundle_type = BUNDLE_TYPES[kind]
     fields = [f.name for f in dataclasses.fields(bundle_type)]
-    assert fields[:2] == ["space", "bichar"] and fields[-1] == "twist"
+    assert fields[:2] == (["algebra", "module_space"] if kind == "module"
+                          else ["space", "bichar"])
     assert [attr for _, attr, _ in bundle_type.OPS] == fields[2:-1]
+    assert bundle_type.TWIST[1] == fields[-1]
     name = next(n for n in fixture_names() if fixture(n).bundle.kind == kind)
     doc = io.serialize_bundle(reparse(fixture_document(name)).bundle)
     assert list(doc["ops"]) == [doc_name for doc_name, _, _ in bundle_type.OPS]
+    assert list(doc["maps"]) == [bundle_type.TWIST[0]]
     bundle = reparse(doc).bundle
-    assert [op.arity for op in bundle.ops()] == [k for _, _, k in bundle_type.OPS]
+    if kind == "module":
+        spaces = {"S": bundle.module_space, "A": bundle.algebra.space}
+    else:
+        spaces = {"S": bundle.space}
+    for (_, _, args), op in zip(bundle_type.OPS, bundle.ops()):
+        assert op.spaces == tuple(spaces[s] for s in args)
+        assert op.codomain == spaces["S"]
+
+
+def test_operation_on_wrong_spaces_names_the_attribute():
+    module = fixture("module-M").bundle
+    with pytest.raises(InputError, match="act_right must map S x A"):
+        dataclasses.replace(module, act_right=module.act_left)
+    akivis = fixture("akivis-A").bundle
+    with pytest.raises(InputError, match="bracket must map S x S"):
+        dataclasses.replace(akivis, bracket=akivis.ternary)
 
 
 # ---------------------------------------------------------------------------
