@@ -175,25 +175,22 @@ BUNDLE_TYPES = {
 }
 
 
-def _associator(product: MultilinearMap, twist: EvenMap):
+def associator_law(product: MultilinearMap, twist: EvenMap, sign=1):
+    """sign * (product(product(x,y), t(z)) - product(t(x), product(y,z))) on
+    basis triples: the Hom-associator, or with sign -1 the defect of
+    Hom-associativity."""
     P, tw = tables.table(product), tables.twist(twist)
     return tables.law(
         product.codomain,
-        tables.twisted_right(1, P, P, tw),
-        tables.twisted_left(-1, P, P, tw),
+        tables.twisted_right(sign, P, P, tw),
+        tables.twisted_left(-sign, P, P, tw),
     )
 
 
 def associator_map(product: MultilinearMap, twist: EvenMap) -> MultilinearMap:
     """Full ternary structure table of the twisted associator."""
     space = product.codomain
-    associator = _associator(product, twist)
-    table = {}
-    for key in space.tuples(3):
-        v = associator(key)
-        if v:
-            table[key] = v
-    return MultilinearMap.internal(space, 3, table)
+    return tables.materialize((space,) * 3, space, associator_law(product, twist))
 
 
 def is_multiplicative(bundle) -> bool:
@@ -203,9 +200,5 @@ def is_multiplicative(bundle) -> bool:
 
 def is_sign_commutative(product: MultilinearMap, bichar) -> bool:
     """product(x, y) == eps(x, y) * product(y, x) on all basis pairs."""
-    space = product.codomain
-    for i, j in space.tuples(2):
-        sign = bichar(space.degree(i), space.degree(j))
-        if product.on_basis(i, j) != product.on_basis(j, i).scaled(sign):
-            return False
-    return True
+    commutator = tables.commutator(product, bichar)
+    return all(commutator(key) is None for key in product.codomain.tuples(2))

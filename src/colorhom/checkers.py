@@ -11,10 +11,7 @@ extra signs.
 Scans run on compiled integer tables (``tables``): each map is compiled
 once, at the first scan that needs it, and a defect is a sum of integer
 products, so the scalar kernels are off the scan path.  Only a nonzero
-defect becomes an exact ``Vector`` in the report.  On the perfbench
-certify-dense workload this took a scanned tuple from 87 to 1.7 us and
-the workload from 9.6 to 68 documents/s (2-vCPU host, Python 3.11; the
-README's "Arithmetic engine" section has the full figures).
+defect becomes an exact ``Vector`` in the report.
 
 Every scan runs in one thread: worker threads were measured 20-40%
 slower under the interpreter lock.  A checker that takes a bundle
@@ -34,6 +31,7 @@ from .bundles import (
     ModuleBundle,
     NHLPBundle,
     NonAssocBundle,
+    associator_law,
     associator_map,
     is_sign_commutative,
 )
@@ -112,13 +110,8 @@ def _rotations(sign, den, pick):
 def check_skew_symmetry(b) -> CheckReport:
     """bracket(x, y) + eps(x, y) * bracket(y, x) == 0 on all basis pairs."""
     space = b.space
-    br, eps, unit = tables.table(b.bracket), _signs(b), tables.unit(space)
-    B, E = br.entries, br.scaled_by(eps.at, eps.den)
-    defect = tables.law(
-        space,
-        (1, br.den, lambda i, j: (B[i][j], unit)),
-        (1, br.den * eps.den, lambda i, j: (E[i][j][j][i], unit)),
-    )
+    defect = tables.law(space, *tables.sign_swap(
+        1, tables.table(b.bracket), _signs(b), tables.unit(space)))
     keys = [(i, j) for i in range(space.dim) for j in range(i, space.dim)]
     return scan_identity("skew-symmetry", keys, defect)
 
@@ -285,13 +278,9 @@ def check_flexible_akivis_relation(b: AkivisBundle) -> CheckReport:
 
 
 def check_hom_associativity(product: MultilinearMap, twist: EvenMap) -> CheckReport:
-    """product(t(x), product(y,z)) == product(product(x,y), t(z))."""
-    P, tw = tables.table(product), tables.twist(twist)
-    defect = tables.law(
-        product.codomain,
-        tables.twisted_left(1, P, P, tw),
-        tables.twisted_right(-1, P, P, tw),
-    )
+    """product(t(x), product(y,z)) == product(product(x,y), t(z)); the
+    defect is the Hom-associator with its sign flipped."""
+    defect = associator_law(product, twist, sign=-1)
     return scan_identity("hom-associativity", product.codomain.tuples(3), defect)
 
 

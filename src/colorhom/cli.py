@@ -237,8 +237,9 @@ def main(argv=None) -> int:
                 text += "\n" + e.report.describe()
             print(text, file=sys.stderr)
             return 1
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (InputError, MemoryError, RecursionError) as e:
+        # an input that outgrows memory or the stack is an input error too
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 2
 
 

@@ -10,6 +10,7 @@ pass guarantee.
 
 from __future__ import annotations
 
+from . import tables
 from .bundles import (
     AkivisBundle,
     DialgebraBundle,
@@ -180,18 +181,13 @@ def leibniz_from_dialgebra(b: DialgebraBundle) -> NHLPBundle:
     product; the pair is a (trivially graded) Leibniz-Poisson bundle."""
     _require(check_dialgebra(b), "leibniz_from_dialgebra input")
     space = b.space
-    table = {}
-    for i, j in space.tuples(2):
-        v = b.prod_right.on_basis(i, j) - b.prod_left.on_basis(j, i)
-        if v:
-            table[(i, j)] = v
-    out = NHLPBundle(
+    L, R, unit = tables.table(b.prod_left), tables.table(b.prod_right), tables.unit(space)
+    bracket = tables.materialize((space, space), space, tables.law(
         space,
-        b.bichar,
-        b.prod_left,
-        MultilinearMap.internal(space, 2, table),
-        b.twist,
-    )
+        (1, R.den, lambda i, j: (R.entries[i][j], unit)),
+        (-1, L.den, lambda i, j: (L.entries[j][i], unit)),
+    ))
+    out = NHLPBundle(space, b.bichar, b.prod_left, bracket, b.twist)
     _require(check_nhlp(out), "leibniz_from_dialgebra output")
     return out
 
@@ -207,29 +203,17 @@ def twist_module(mb: ModuleBundle) -> ModuleBundle:
         "twist_module algebra twist must be multiplicative",
     )
     _require(check_module(mb), "twist_module input")
-    t2 = alg.twist.compose(alg.twist)
+    t2 = tables.twist(alg.twist.compose(alg.twist))
     A, M = alg.space, mb.module_space
-    left_table = {}
-    for x in range(A.dim):
-        tx = t2.image_of_basis(x)
-        for m in range(M.dim):
-            v = mb.act_left(tx, Vector.basis(M, m))
-            if v:
-                left_table[(x, m)] = v
-    right_table = {}
-    for m in range(M.dim):
-        em = Vector.basis(M, m)
-        for x in range(A.dim):
-            v = mb.act_right(em, t2.image_of_basis(x))
-            if v:
-                right_table[(m, x)] = v
-    out = ModuleBundle(
-        alg,
-        M,
-        MultilinearMap((A, M), M, left_table),
-        MultilinearMap((M, A), M, right_table),
-        mb.module_twist,
-    )
+    d, unit = M.field.degree, tables.unit(M)
+    # row x of the images holds act(t^2 e_x, e_m) at column m*d
+    L2 = tables.table(mb.act_left).images(t2, tables.FIRST)
+    R2 = tables.table(mb.act_right).images(t2, tables.SECOND)
+    left = tables.materialize((A, M), M, tables.law(
+        M, (1, L2.den, lambda x, m: (L2.entries[x][m * d], unit))))
+    right = tables.materialize((M, A), M, tables.law(
+        M, (1, R2.den, lambda m, x: (R2.entries[x][m * d], unit))))
+    out = ModuleBundle(alg, M, left, right, mb.module_twist)
     if out == mb:  # a fixed point: keep the input and the reports stored on it
         out = mb
     _require(check_module(out), "twist_module output")

@@ -223,9 +223,12 @@ def parse_document(doc) -> ParsedDocument:
     bundle_type = BUNDLE_TYPES[kind]
 
     if kind == "module":
-        algebra = parse_document(_get(doc, "algebra", "document", dict)).bundle
+        parsed = parse_document(_get(doc, "algebra", "document", dict))
+        algebra = parsed.bundle
         if algebra.kind != "leibniz":
             _fail("document.algebra.kind", "module documents embed a leibniz algebra")
+        for name in parsed.extra_maps:
+            _fail(f"document.algebra.maps.{name}", "a module's algebra carries only 'alpha'")
         aspace = algebra.space
         space = _parse_basis(doc, "document", aspace.field, aspace.group)
         head, spaces = (algebra, space), {"S": space, "A": aspace}

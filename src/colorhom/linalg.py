@@ -431,17 +431,12 @@ def commutator_map(product_map: MultilinearMap, bichar) -> MultilinearMap:
     """Sign-twisted commutator of a binary internal map:
     bracket(x, y) = product(x, y) - eps(x, y) * product(y, x)
     on homogeneous basis vectors, extended bilinearly."""
+    from . import tables  # tables builds on this module
+
     if product_map.arity != 2:
         raise InputError("commutator needs a binary map")
-    space = product_map.codomain
-    table = {}
-    keys = set(product_map.table) | {(j, i) for i, j in product_map.table}
-    for i, j in keys:
-        sign = bichar(space.degree(i), space.degree(j))
-        value = product_map.on_basis(i, j) - product_map.on_basis(j, i).scaled(sign)
-        if value:
-            table[(i, j)] = value
-    return MultilinearMap(product_map.spaces, space, table)
+    return tables.materialize(product_map.spaces, product_map.codomain,
+                              tables.commutator(product_map, bichar))
 
 
 def endomorphism_defects(f: EvenMap, ops):

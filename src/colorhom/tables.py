@@ -25,14 +25,19 @@ with a row of images (``law``); a scan adds their integer products into
 one accumulator per basis tuple.  Only a nonzero accumulator is
 normalized, by the scalar kernel, into the exact Vector defect of a
 violation, so reports equal those of Scalar arithmetic.
+
+A derived map is a law too, kept as a MultilinearMap by ``materialize``:
+the ``commutator`` (``sign_swap``, which also gives the eps-skew law), the
+Hom-associator, the dialgebra bracket and the twisted module actions.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import lcm
 
 from ._backend import kernel as _K
-from .linalg import Vector
+from .linalg import MultilinearMap, Vector
 from .scalars import Scalar
 
 FIRST, SECOND = 0, 1  # which argument of a binary operation carries the twist
@@ -271,6 +276,21 @@ def unit(space):
     return [((q, 1),) for q in range(space.dim * space.field.degree)]
 
 
+def sign_swap(sign, op: Table, eps: "Signs", unit):
+    """The terms op(e_i, e_j) + sign * eps(i,j) * op(e_j, e_i) of a law on
+    basis pairs: sign +1 is the eps-skew defect, -1 the commutator."""
+    entries, scaled = op.entries, op.scaled_by(eps.at, eps.den)
+    return ((1, op.den, lambda i, j: (entries[i][j], unit)),
+            (sign, op.den * eps.den, lambda i, j: (scaled[i][j][j][i], unit)))
+
+
+def commutator(op, bichar):
+    """The law op(e_i, e_j) - eps(i,j) op(e_j, e_i) of a binary
+    MultilinearMap op."""
+    space = op.codomain
+    return law(space, *sign_swap(-1, table(op), Signs(bichar, *op.spaces), unit(space)))
+
+
 def twisted_left(sign, outer: Table, inner: Table, tw: Twist):
     """The law term sign * outer(t e_x, inner(e_y, e_z))."""
     rows = outer.images(tw, FIRST)
@@ -317,6 +337,17 @@ def law(space, *terms):
         return _vector(acc, common, space)
 
     return defect
+
+
+def materialize(spaces, codomain, defect) -> MultilinearMap:
+    """The map whose value on each basis tuple of spaces is defect(key):
+    a law read as the structure table of a derived map."""
+    table = {}
+    for key in product(*(range(sp.dim) for sp in spaces)):
+        v = defect(key)
+        if v is not None:
+            table[key] = v
+    return MultilinearMap(spaces, codomain, table)
 
 
 def _vector(acc, den, space):

@@ -44,6 +44,19 @@ def test_check_unknown_path_is_input_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_resource_exhaustion_is_input_error(monkeypatch, capsys, exc):
+    """Exit 1 means a law fails; running out of memory or stack is not
+    that, so it exits 2 with a message, not a traceback."""
+    def exhausted(args):
+        raise exc()
+
+    monkeypatch.setattr(cli, "cmd_check", exhausted)
+    code, out, err = run(capsys, "check", "fixtures/leibniz-L2")
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_check_oversized_integer_is_input_error(tmp_path, capsys):
     # 5001 digits is past CPython's default int-string limit of 4300
     doc = fixture_document("leibniz-L2")

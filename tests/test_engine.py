@@ -1,8 +1,11 @@
-"""The compiled-table scan engine against two independent references.
+"""The compiled-table scan engine against independent references.
 
 * tests/vector_laws.py: every law as the per-tuple Vector expression the
   checkers used before the engine, compared violation by violation
   (basis tuple and exact defect).
+* the same Vector arithmetic, one tuple at a time, for the derived maps
+  the engine materializes (commutator, dialgebra bracket, twisted module
+  actions).
 * tests/oracles.py: the naive Fraction-polynomial evaluators of the
   Leibniz law, the associator, the Akivis identity and the
   compatibility law, compared on every basis tuple.
@@ -23,7 +26,7 @@ import pytest
 
 import genutil as G
 import vector_laws
-from colorhom import checkers
+from colorhom import checkers, constructions
 from colorhom.bundles import (
     AkivisBundle,
     DialgebraBundle,
@@ -32,9 +35,10 @@ from colorhom.bundles import (
     NHLPBundle,
     NonAssocBundle,
     associator_map,
+    is_sign_commutative,
 )
 from colorhom.grading import Bicharacter, GradingGroup, TRIVIAL_GROUP
-from colorhom.linalg import EvenMap, GradedSpace, MultilinearMap, Vector
+from colorhom.linalg import EvenMap, GradedSpace, MultilinearMap, Vector, commutator_map
 from colorhom.report import CheckReport
 from colorhom.scalars import Scalar, cyclotomic_field
 
@@ -143,18 +147,6 @@ def random_twist(rng, space):
         for i in range(space.dim)))
 
 
-def eps_antisymmetrized(m, bichar):
-    """m(x,y) - eps(x,y) m(y,x): an eps-skew bracket."""
-    space = m.codomain
-    table = {}
-    for i, j in space.tuples(2):
-        v = m.on_basis(i, j) - m.on_basis(j, i).scaled(
-            bichar(space.degree(i), space.degree(j)))
-        if v:
-            table[(i, j)] = v
-    return MultilinearMap.internal(space, 2, table)
-
-
 def eps_flexible(T, bichar):
     """T(x,y,z) - eps(x,z) T(z,y,x): polarized-flexible."""
     space = T.codomain
@@ -195,7 +187,7 @@ def random_bundles(rng, N, grading, dim):
     space, bichar = setup(rng, N, grading, dim)
     mu = random_table(rng, (space,) * 2, space)
     tw = random_twist(rng, space)
-    skew = eps_antisymmetrized(random_table(rng, (space,) * 2, space), bichar)
+    skew = vector_laws.eps_antisymmetrized(random_table(rng, (space,) * 2, space), bichar)
     T = random_table(rng, (space,) * 3, space, density=0.5)
     central = central_bracket(rng, space)
     out = [
@@ -330,6 +322,57 @@ def test_every_law_fails_somewhere(scans):
             compare(b, reports)
             failing |= {report.identity_id for report in reports if report.violations}
     assert failing == ALL_LAWS
+
+
+# ---------------------------------------------------------------------------
+# derived maps vs their Vector builds
+
+
+@pytest.mark.parametrize("N,grading", CASES)
+def test_derived_maps_match_vector_builds(monkeypatch, N, grading):
+    """The commutator, the eps-commutativity test, the dialgebra bracket
+    and the twisted module actions, built on the law engine, equal the
+    same maps built one tuple at a time with Vector arithmetic.  The
+    constructions' certification gates are lifted, so that random inputs
+    with fractional entries, most of them failing their laws, reach the
+    builds."""
+    monkeypatch.setattr(constructions, "_require", lambda report, what: None)
+    build = vector_laws.nonzero_map
+    rng = random.Random(f"derived-{N}-{grading}")
+    dim = DIM[grading]
+    space, bichar = setup(rng, N, grading, dim)
+
+    m = random_table(rng, (space,) * 2, space)
+    comm = vector_laws.eps_antisymmetrized(m, bichar)
+    assert comm.table
+    assert commutator_map(m, bichar) == comm
+    assert not is_sign_commutative(m, bichar)
+    sym = G.eps_symmetrized(m, bichar)
+    assert not vector_laws.eps_antisymmetrized(sym, bichar).table
+    assert is_sign_commutative(sym, bichar)
+
+    # dialgebras are ungraded: a trivially graded space over the same field
+    flat, trivial = setup(rng, N, "trivial", dim)
+    L, R = (random_table(rng, (flat,) * 2, flat) for _ in range(2))
+    derived = constructions.leibniz_from_dialgebra(
+        DialgebraBundle(flat, trivial, L, R, random_twist(rng, flat)))
+    bracket = build((flat, flat), flat, lambda i, j: R.on_basis(i, j) - L.on_basis(j, i))
+    assert bracket.table and derived.bracket == bracket
+
+    alg = LeibnizBundle(space, bichar, random_table(rng, (space,) * 2, space),
+                        random_twist(rng, space))
+    M = GradedSpace.build(space.field, space.group,
+                          degrees(rng, GRADINGS[grading][1], dim + 1, "m"))
+    mb = ModuleBundle(alg, M, random_table(rng, (space, M), M),
+                      random_table(rng, (M, space), M), random_twist(rng, M))
+    out = constructions.twist_module(mb)
+    t2 = alg.twist.compose(alg.twist)
+    left = build((space, M), M, lambda x, n: mb.act_left(
+        t2.image_of_basis(x), Vector.basis(M, n)))
+    right = build((M, space), M, lambda n, x: mb.act_right(
+        Vector.basis(M, n), t2.image_of_basis(x)))
+    assert left.table and out.act_left == left
+    assert right.table and out.act_right == right
 
 
 # ---------------------------------------------------------------------------

@@ -193,6 +193,17 @@ def test_module_documents_reject_extra_maps():
     assert "maps" in str(exc.value) or "beta" in str(exc.value)
 
 
+def test_module_algebra_refuses_extra_maps():
+    """The serializer writes a module's algebra with alpha alone, so an
+    extra algebra map would be lost, giving one bundle two documents."""
+    def mutate(d):
+        d["algebra"]["maps"]["beta"] = [["1", "0"], ["0", "1"]]
+
+    with pytest.raises(InputError) as exc:
+        io.parse_document(broken("module-M", mutate))
+    assert "document.algebra.maps.beta" in str(exc.value)
+
+
 def test_module_serializer_refuses_extra_maps():
     module = fixture("module-M").bundle
     beta = EvenMap.identity(module.module_space)

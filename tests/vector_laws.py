@@ -6,7 +6,11 @@ Vector / MultilinearMap / EvenMap arithmetic, one basis tuple at a time,
 so tests/test_engine.py can compare the engine with them violation by
 violation.  ``laws(bundle)`` gives, per identity id, the keys in scan
 order and the defect function; preconditions are not applied.
+``nonzero_map`` and ``eps_antisymmetrized`` build derived maps the same
+way, as references for the maps the engine materializes.
 """
+
+import itertools
 
 from colorhom.bundles import (
     AkivisBundle,
@@ -16,7 +20,21 @@ from colorhom.bundles import (
     NHLPBundle,
     NonAssocBundle,
 )
-from colorhom.linalg import commutator_map
+from colorhom.linalg import MultilinearMap
+
+
+def nonzero_map(spaces, codomain, value):
+    """The MultilinearMap holding the nonzero value(*key) of every basis
+    tuple: a derived map built one tuple at a time."""
+    keys = itertools.product(*(range(sp.dim) for sp in spaces))
+    return MultilinearMap(spaces, codomain, {k: v for k in keys if (v := value(*k))})
+
+
+def eps_antisymmetrized(m, bichar):
+    """m(x,y) - eps(x,y) m(y,x): the commutator of m, an eps-skew bracket."""
+    deg = m.codomain.degree
+    return nonzero_map(m.spaces, m.codomain, lambda i, j: (
+        m.on_basis(i, j) - m.on_basis(j, i).scaled(bichar(deg(i), deg(j)))))
 
 
 def cyclic_sum(expr, x, y, z):
@@ -65,7 +83,7 @@ def _bracket_laws(b):
 
     out["color-hom-leibniz"] = (list(space.tuples(3)), leibniz)
 
-    comm = commutator_map(br, eps)
+    comm = eps_antisymmetrized(br, eps)
 
     def symmetrized(key):
         x, y, z = key
