@@ -94,7 +94,7 @@ def _once_per_bundle(check):
 def _signs(b, a=None, c=None):
     """eps on the degrees of the bases of spaces a x c (default: b.space)."""
     space = b.space if a is None else a
-    return tables.Signs(b.bichar, space, space if c is None else c)
+    return tables.signs(b.bichar, space, space if c is None else c)
 
 
 def _rotations(sign, den, pick):

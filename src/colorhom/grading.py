@@ -164,7 +164,7 @@ class Bicharacter:
     the matrix and refuses invalid data.
     """
 
-    __slots__ = ("group", "field", "matrix", "_memo")
+    __slots__ = ("group", "field", "matrix", "_memo", "_compiled")
 
     def __init__(self, group, field, matrix):
         matrix = tuple(tuple(row) for row in matrix)
@@ -178,6 +178,7 @@ class Bicharacter:
         self.field = field
         self.matrix = matrix
         self._memo = {}
+        self._compiled = {}  # tables.Signs per pair of spaces, built by tables.signs
 
     @classmethod
     def trivial(cls, group, field):

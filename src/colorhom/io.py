@@ -359,19 +359,21 @@ def full_check(bundle, jobs=1):
     claims, plus well-formedness.  ``jobs`` is ignored; it stays only
     because the perfbench worker passes it."""
     results = [(_EVENNESS, False), (_BICHAR_AXIOMS, False)]
-    flags = {}
     kind = bundle.kind
+    if kind == "module":
+        flags = {"algebra_multiplicative": is_multiplicative(bundle.algebra)}
+    else:
+        flags = {"multiplicative": is_multiplicative(bundle)}
     if kind == "nonassociative":
         classify = check_flexible_alternative(bundle)
         assoc = check_hom_associativity(bundle.product, bundle.twist)
         results += [(classify, True), (assoc, True)]
-        flags = {
-            "multiplicative": is_multiplicative(bundle),
-            "hom_associative": assoc.passed,
-            "commutative": is_sign_commutative(bundle.product, bundle.bichar),
-            "flexible": classify.flags["flexible"],
-            "alternative": classify.flags["alternative"],
-        }
+        flags.update(
+            hom_associative=assoc.passed,
+            commutative=is_sign_commutative(bundle.product, bundle.bichar),
+            flexible=classify.flags["flexible"],
+            alternative=classify.flags["alternative"],
+        )
     elif kind == "akivis":
         skew = check_skew_symmetry(bundle)
         akivis = check_akivis_identity(bundle)
@@ -379,12 +381,11 @@ def full_check(bundle, jobs=1):
         classify = check_flexible_alternative(bundle)
         jacobi = check_hom_lie(bundle)
         results += [(classify, True), (jacobi, True)]
-        flags = {
-            "multiplicative": is_multiplicative(bundle),
-            "flexible": classify.flags["flexible"],
-            "alternative": classify.flags["alternative"],
-            "hom_lie": jacobi.passed,
-        }
+        flags.update(
+            flexible=classify.flags["flexible"],
+            alternative=classify.flags["alternative"],
+            hom_lie=jacobi.passed,
+        )
         if bundle.space.is_trivially_graded() and classify.flags["flexible"]:
             results.append((check_flexible_akivis_relation(bundle), False))
     elif kind == "leibniz":
@@ -394,26 +395,16 @@ def full_check(bundle, jobs=1):
             results.append((check_leibniz_consequences(bundle), False))
         skew = check_skew_symmetry(bundle)
         results.append((skew, True))
-        flags = {
-            "multiplicative": is_multiplicative(bundle),
-            "skew_symmetric": skew.passed,
-        }
+        flags["skew_symmetric"] = skew.passed
     elif kind == "nhlp":
         rep = check_nhlp(bundle)
         results.append((rep, False))
-        flags = {
-            "multiplicative": is_multiplicative(bundle),
-            "commutative": rep.flags["commutative"],
-        }
+        flags["commutative"] = rep.flags["commutative"]
     elif kind == "dialgebra":
         results.append((check_dialgebra(bundle), False))
-        flags = {
-            "multiplicative": is_multiplicative(bundle),
-            "products_coincide": bundle.prod_left == bundle.prod_right,
-        }
+        flags["products_coincide"] = bundle.prod_left == bundle.prod_right
     elif kind == "module":
         results.append((check_module(bundle), False))
-        flags = {"algebra_multiplicative": is_multiplicative(bundle.algebra)}
     return results, flags
 
 

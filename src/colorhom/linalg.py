@@ -69,6 +69,16 @@ class GradedSpace:
         return f"GradedSpace({[n for n, _ in self.basis]})"
 
 
+def _scalar(field, c):
+    """c as a Scalar of field: an int or Fraction is converted, and a
+    Scalar of another field is refused."""
+    if not isinstance(c, Scalar):
+        return Scalar.rational(field, c)
+    if c.field is not field:
+        raise InputError(f"scalar of {c.field!r} given for a space over {field!r}")
+    return c
+
+
 class Vector:
     """Sparse vector; coefficient dict never stores zeros."""
 
@@ -77,8 +87,7 @@ class Vector:
     def __init__(self, space, coeffs=None):
         clean = {}
         for i, c in (coeffs or {}).items():
-            if not isinstance(c, Scalar):
-                c = Scalar.rational(space.field, c)
+            c = _scalar(space.field, c)
             if not (0 <= i < space.dim):
                 raise InputError(f"basis index {i} out of range")
             if not c.is_zero():
@@ -185,13 +194,7 @@ class EvenMap:
     __slots__ = ("space", "rows", "_compiled")
 
     def __init__(self, space, rows):
-        rows = tuple(
-            tuple(
-                c if isinstance(c, Scalar) else Scalar.rational(space.field, c)
-                for c in row
-            )
-            for row in rows
-        )
+        rows = tuple(tuple(_scalar(space.field, c) for c in row) for row in rows)
         if len(rows) != space.dim or any(len(r) != space.dim for r in rows):
             raise InputError(f"matrix must be {space.dim}x{space.dim}")
         self.space = space
@@ -212,14 +215,10 @@ class EvenMap:
     @classmethod
     def diagonal(cls, space, values):
         zero = Scalar.zero(space.field)
-        vals = [
-            v if isinstance(v, Scalar) else Scalar.rational(space.field, v)
-            for v in values
-        ]
         return cls(
             space,
             tuple(
-                tuple(vals[i] if i == j else zero for j in range(space.dim))
+                tuple(values[i] if i == j else zero for j in range(space.dim))
                 for i in range(space.dim)
             ),
         )

@@ -5,6 +5,12 @@ degree < phi(N) in the primitive N-th root of unity, reduced modulo the
 N-th cyclotomic polynomial, with exact rational coefficients.  Equality of
 scalars is literal equality of canonical forms, so identity checks over
 these scalars are exact, never approximate.
+
+A scalar is stored as integer numerators over one denominator, and all
+its arithmetic, the inverse included, runs on the integer kernel
+(``colorhom._core_py``).  ``Fraction`` appears only where the library API
+takes or returns one: ``Scalar(field, coefficients)``, ``Scalar.rational``,
+mixed arithmetic with a Fraction, and ``Scalar.coefficients``.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, lcm
 
 from ._backend import kernel as _K
@@ -72,16 +78,23 @@ class FieldDescriptor:
 def cyclotomic_field(order: int) -> FieldDescriptor:
     phi = cyclotomic_polynomial(order)
     d = len(phi) - 1
-    rows = []
-    if d > 1:
-        base = tuple(-c for c in phi[:d])
-        rows.append(base)
-        row = base
-        for _ in range(d - 2):
-            top = row[d - 1]
-            row = tuple((row[j - 1] if j else 0) + top * base[j] for j in range(d))
-            rows.append(row)
+    rows = [tuple(-c for c in phi[:d])] if d > 1 else []
+    for _ in range(d - 2):  # x**(d+t+1) = zeta * x**(d+t)
+        rows.append(_K.times_zeta(rows[-1], rows))
     return FieldDescriptor(order, phi, d, tuple(rows))
+
+
+def _ratios(field, pairs):
+    """Canonical (nums, den) of the coefficients p/q given as at most
+    field.degree (p, q) integer pairs, padded with zeros."""
+    if len(pairs) > field.degree:
+        raise InputError(
+            f"expected at most {field.degree} coefficients, got {len(pairs)}"
+        )
+    den = lcm(*(q for _, q in pairs))
+    nums = [p if q == den else p * (den // q) for p, q in pairs]
+    nums += [0] * (field.degree - len(nums))
+    return _K.normalize(nums, den)
 
 
 def _coerce(field, value):
@@ -94,8 +107,7 @@ def _coerce(field, value):
     if isinstance(value, int):
         return Scalar._make(field, (value,) + (0,) * (field.degree - 1), 1)
     if isinstance(value, Fraction):
-        nums = [value.numerator] + [0] * (field.degree - 1)
-        return Scalar._make(field, *_K.normalize(nums, value.denominator))
+        return Scalar.rational(field, value)
     return None
 
 
@@ -111,15 +123,8 @@ class Scalar:
     def __init__(self, field, coefficients):
         """Build from a sequence of ints / Fractions (length <= phi(N),
         coefficient k multiplying zeta**k)."""
-        fracs = [Fraction(c) for c in coefficients]
-        if len(fracs) > field.degree:
-            raise InputError(
-                f"expected at most {field.degree} coefficients, got {len(fracs)}"
-            )
-        fracs += [Fraction(0)] * (field.degree - len(fracs))
-        den = reduce(lambda a, b: a * b // gcd(a, b), (f.denominator for f in fracs), 1)
-        nums = [int(f * den) for f in fracs]
-        nums, den = _K.normalize(nums, den)
+        pairs = [(c.numerator, c.denominator) for c in coefficients]
+        nums, den = _ratios(field, pairs)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
@@ -146,9 +151,9 @@ class Scalar:
 
     @classmethod
     def rational(cls, field, p, q=1):
-        f = Fraction(p, q)
-        nums = [f.numerator] + [0] * (field.degree - 1)
-        return cls._make(field, *_K.normalize(nums, f.denominator))
+        """p / q for ints or Fractions p and q."""
+        pair = (p.numerator * q.denominator, p.denominator * q.numerator)
+        return cls._make(field, *_ratios(field, [pair]))
 
     @classmethod
     def root(cls, field):
@@ -241,9 +246,9 @@ class Scalar:
     def inverse(self):
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        if self.field.degree == 1:
-            return Scalar._make(self.field, *_K.normalize([self.den], self.nums[0]))
-        return Scalar(self.field, _invert_mod_minpoly(self.field, self.coefficients))
+        field = self.field
+        return Scalar._make(field, *_K.inverse(
+            self.nums, self.den, field.cyclotomic_order, field.reduction))
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -297,60 +302,6 @@ def _ratio_text(n, den):
         raise too_many_digits("output coefficient") from None
 
 
-def _frac_poly_divmod(a, b):
-    # a, b: lists of Fractions, b nonzero; returns (quotient, remainder)
-    a = list(a)
-    db = max(i for i, c in enumerate(b) if c != 0)
-    lead = b[db]
-    q = [Fraction(0)] * max(len(a) - db, 1)
-    for k in range(len(a) - db - 1, -1, -1):
-        c = a[k + db] / lead
-        q[k] = c
-        if c:
-            for j in range(db + 1):
-                a[k + j] -= c * b[j]
-    return q, a[:db]
-
-
-def _invert_mod_minpoly(field, coeffs):
-    """Extended Euclid in Q[x]: inverse of the given coefficient vector
-    modulo the (irreducible) minimal polynomial."""
-    r0 = [Fraction(c) for c in field.minimal_polynomial]
-    r1 = [Fraction(c) for c in coeffs]
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-
-    def deg(p):
-        for i in range(len(p) - 1, -1, -1):
-            if p[i] != 0:
-                return i
-        return -1
-
-    def padd(p, q):
-        n = max(len(p), len(q))
-        return [
-            (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
-        ]
-
-    def pmul(p, q):
-        out = [Fraction(0)] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            if a:
-                for j, b in enumerate(q):
-                    if b:
-                        out[i + j] += a * b
-        return out
-
-    while deg(r1) > 0:
-        q, rem = _frac_poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, padd(s0, [-c for c in pmul(q, s1)])
-    unit = r1[deg(r1)]
-    assert deg(r1) == 0, "minimal polynomial not coprime with operand"
-    inv = [c / unit for c in s1]
-    inv += [Fraction(0)] * (field.degree - len(inv))
-    return inv[: field.degree]
-
-
 def scalar_from_text(field, data) -> Scalar:
     """Parse the document form of a scalar: a single "p" / "p/q" string for
     N == 1, a list of phi(N) such strings for N > 1."""
@@ -374,9 +325,7 @@ def scalar_from_text(field, data) -> Scalar:
         except ValueError:
             # only CPython's int-string limit gets past _FRACTION_RE
             raise too_many_digits(f"rational of {len(item)} characters") from None
-    den = lcm(*(q for _, q in pairs))
-    nums = [p if q == den else p * (den // q) for p, q in pairs]
-    return Scalar._make(field, *_K.normalize(nums, den))
+    return Scalar._make(field, *_ratios(field, pairs))
 
 
 def scalar_to_text(s: Scalar):

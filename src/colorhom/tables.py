@@ -16,10 +16,12 @@ Q-multilinear, so every law becomes a sum of integer products:
   O(alpha e_x, I(e_y, e_z)) = sum_q I[y][z][q] * L[x][q];
 * ``Table.scaled``: an operation multiplied by one field scalar (a value
   of eps, or a product of two), for the sign factors of a law;
-* ``Signs``: the values eps(deg i, deg j) over their own denominator.
+* ``Signs``: the values eps(deg i, deg j) over their own denominator,
+  built once per bicharacter and pair of spaces (``signs``).
 
-Field products happen only while compiling: a raw integer convolution
-folded back by the rows of ``FieldDescriptor.reduction``, with no gcd.
+Field products happen only while compiling, through the scalar kernel's
+``product`` and ``times_zeta``: an integer convolution folded back by the
+rows of ``FieldDescriptor.reduction``, with no gcd.
 A law is a sum of terms, each a contraction of a flattened table entry
 with a row of images (``law``); a scan adds their integer products into
 one accumulator per basis tuple.  Only a nonzero accumulator is
@@ -41,39 +43,6 @@ from .linalg import MultilinearMap, Vector
 from .scalars import Scalar
 
 FIRST, SECOND = 0, 1  # which argument of a binary operation carries the twist
-
-
-# --------------------------------------------------------------------------
-# compile-time field arithmetic on integer numerator tuples
-
-
-def _mul(a, b, reduction):
-    """a * b for coefficient tuples of length d: the raw convolution, with
-    zeta**(d+t) folded back by reduction row t.  No gcd is taken."""
-    d = len(a)
-    conv = [0] * (2 * d - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    conv[i + j] += ai * bj
-    out = conv[:d]
-    for t, row in enumerate(reduction):
-        c = conv[d + t]
-        if c:
-            for j, r in enumerate(row):
-                out[j] += c * r
-    return tuple(out)
-
-
-def _times_zeta(a, reduction):
-    """zeta * a (only called when d >= 2, where reduction[0] exists)."""
-    out = [0, *a[:-1]]
-    top = a[-1]
-    if top:
-        for j, r in enumerate(reduction[0]):
-            out[j] += top * r
-    return tuple(out)
 
 
 def _numerators(s: Scalar, den):
@@ -157,10 +126,10 @@ class Table:
                 for i, a in twist.columns[x]:
                     entry = coords[i][b] if arg == FIRST else coords[b][i]
                     for k, o in entry:
-                        _accumulate(value, k, _mul(a, o, red))
+                        _accumulate(value, k, _K.product(a, o, red))
                 for t in range(d):
                     if t:
-                        value = {k: _times_zeta(c, red) for k, c in value.items()}
+                        value = {k: _K.times_zeta(c, red) for k, c in value.items()}
                     row.append(_flatten(value, d))
             rows.append(row)
         out = Table(field, (self.dims[arg], other * d), self.den * twist.den, rows)
@@ -184,7 +153,8 @@ class Table:
                 return tuple((p, s * c) for p, c in vec) if s else ()
         else:
             def scale(vec):
-                return _flatten({k: _mul(nums, c, red) for k, c in _unflatten(vec, d)}, d)
+                return _flatten(
+                    {k: _K.product(nums, c, red) for k, c in _unflatten(vec, d)}, d)
 
         out = Table(field, self.dims, self.den * den,
                     _map_grid(self.entries, len(self.dims), scale))
@@ -208,8 +178,7 @@ class Twist:
 
     def __init__(self, emap):
         space = emap.space
-        field = space.field
-        d, n = field.degree, space.dim
+        d, n, red = space.field.degree, space.dim, space.field.reduction
         rows = emap.rows
         self.den = lcm(1, *(s.den for row in rows for s in row))
         self.columns = [
@@ -221,7 +190,7 @@ class Twist:
             value = dict(col)
             for t in range(d):
                 if t:
-                    value = {k: _times_zeta(c, field.reduction) for k, c in value.items()}
+                    value = {k: _K.times_zeta(c, red) for k, c in value.items()}
                 self.flat.append(_flatten(value, d))
 
 
@@ -263,7 +232,16 @@ class Signs:
 
     def mul(self, u, v):
         """Product of two numerator tuples (over den**2)."""
-        return _mul(u, v, self.field.reduction)
+        return _K.product(u, v, self.field.reduction)
+
+
+def signs(bichar, a, b) -> Signs:
+    """The Signs of bichar on spaces a x b, built at their first use and
+    kept on the bicharacter."""
+    hit = bichar._compiled.get((a, b))
+    if hit is None:
+        hit = bichar._compiled[a, b] = Signs(bichar, a, b)
+    return hit
 
 
 # --------------------------------------------------------------------------
@@ -288,7 +266,7 @@ def commutator(op, bichar):
     """The law op(e_i, e_j) - eps(i,j) op(e_j, e_i) of a binary
     MultilinearMap op."""
     space = op.codomain
-    return law(space, *sign_swap(-1, table(op), Signs(bichar, *op.spaces), unit(space)))
+    return law(space, *sign_swap(-1, table(op), signs(bichar, *op.spaces), unit(space)))
 
 
 def twisted_left(sign, outer: Table, inner: Table, tw: Twist):

@@ -4,7 +4,7 @@ polynomial oracle in ``tests/oracles.py``."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from colorhom._backend import kernel
@@ -84,3 +84,47 @@ def test_big_integer_territory():
     )
     assert [Fraction(n, den) for n in nums] == want
     assert abs(nums[0]) > 10**50
+
+
+def _fractions(nums):
+    return [Fraction(n) for n in nums]
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_product_and_times_zeta_against_polynomial_oracle(data):
+    from oracles import FieldOracle
+
+    field = data.draw(st.sampled_from(FIELDS))
+    width = field.degree
+    a = data.draw(st.lists(ints, min_size=width, max_size=width).map(tuple))
+    b = data.draw(st.lists(ints, min_size=width, max_size=width).map(tuple))
+    O = FieldOracle(list(field.minimal_polynomial))
+    got = kernel.product(a, b, field.reduction)
+    assert isinstance(got, tuple)
+    assert _fractions(got) == O.mul(_fractions(a), _fractions(b))
+    if width >= 2:
+        zeta = [0, 1] + [0] * (width - 2)
+        assert _fractions(kernel.times_zeta(a, field.reduction)) == O.mul(
+            _fractions(zeta), _fractions(a)
+        )
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_inverse_is_canonical_and_inverts(data):
+    from math import gcd
+
+    field = data.draw(st.sampled_from(FIELDS))
+    nums, den = data.draw(vec_strategy(field.degree))
+    assume(any(nums))
+    inv_nums, inv_den = kernel.inverse(
+        nums, den, field.cyclotomic_order, field.reduction
+    )
+    assert inv_den > 0
+    g = inv_den
+    for n in inv_nums:
+        g = gcd(g, n)
+    assert g == 1
+    one = (1,) + (0,) * (field.degree - 1)
+    assert kernel.mul(nums, den, inv_nums, inv_den, field.reduction) == (one, 1)

@@ -197,6 +197,13 @@ def test_fourth_root_on_z4_pair():
     _exhaustive_skew(eps, g)
 
 
+def _skew_and_biadditive(eps, a, b):
+    assert (eps(a, b) * eps(b, a)).is_one()
+    assert (eps(a, a) ** 2).is_one()
+    # biadditivity in the first slot
+    assert eps(a + b, a) == eps(a, a) * eps(b, a)
+
+
 @settings(max_examples=50)
 @given(
     st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(0, 1)),
@@ -210,11 +217,26 @@ def test_skew_property_random_elements(ca, cb):
     rep = validate_bicharacter(m, g, field)
     assert rep.passed
     eps = Bicharacter(g, field, m)
+    _skew_and_biadditive(eps, g.element(ca), g.element(cb))
+
+
+@settings(max_examples=50)
+@given(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+)
+def test_skew_property_random_elements_zeta12(ca, cb):
+    # Z x Z over Q(zeta_12): eps(g1,g2) = zeta, eps(g2,g1) = zeta^-1, so a
+    # negative exponent inverts a degree-4 scalar
+    field = cyclotomic_field(12)
+    z, one = Scalar.root(field), Scalar.one(field)
+    g = GradingGroup(2, ())
+    m = ((one, z), (z.inverse(), one))
+    assert validate_bicharacter(m, g, field).passed
+    eps = Bicharacter(g, field, m)
     a, b = g.element(ca), g.element(cb)
-    assert (eps(a, b) * eps(b, a)).is_one()
-    assert (eps(a, a) ** 2).is_one()
-    # biadditivity in the first slot
-    assert eps(a + b, a) == eps(a, a) * eps(b, a)
+    assert eps(a, b) == z ** (ca[0] * cb[1] - ca[1] * cb[0])
+    _skew_and_biadditive(eps, a, b)
 
 
 def test_bicharacter_group_field_mismatch():

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from vector_laws import cyclic_sum
 from colorhom.errors import InputError
+from colorhom.fixtures import fixture
 from colorhom.grading import Bicharacter, GradingGroup, TRIVIAL_GROUP
 from colorhom.linalg import (
     EvenMap,
@@ -85,6 +86,20 @@ def test_vector_rejects_foreign_space_and_bad_index():
         Vector(sp, {5: 1})
     with pytest.raises(InputError):
         Vector(sp, {0: 1}) + Vector(other, {0: 1})
+
+
+def test_scalar_of_another_field_refused():
+    # leibniz-L2 is over Q: a Scalar of Q(i) put in it would be read as
+    # two coordinates, z*e1 passing for e2 in tables and in documents
+    sp = fixture("leibniz-L2").bundle.space
+    i = Scalar.root(cyclotomic_field(4))
+    with pytest.raises(InputError, match="scalar of"):
+        Vector(sp, {0: i})
+    with pytest.raises(InputError, match="scalar of"):
+        EvenMap(sp, [[1, 0], [0, i]])
+    with pytest.raises(InputError, match="scalar of"):
+        EvenMap.diagonal(sp, [1, i])
+    assert Vector(sp, {0: Scalar.one(sp.field)}) == Vector.basis(sp, 0)
 
 
 def test_rmul_syntax():

@@ -82,10 +82,24 @@ def test_field_axioms(order, data):
     assert a * Scalar.one(a.field) == a
 
 
-@settings(max_examples=60)
-@given(st.sampled_from(ORDERS), st.data())
+# the degree-6 and degree-8 fields besides ORDERS, where a conjugate
+# product and Euclid's algorithm differ most
+INVERSE_ORDERS = ORDERS + [7, 9, 15, 16, 20, 24, 30]
+huge = st.builds(
+    lambda sign, n, q: Fraction(sign * n, q),
+    st.sampled_from([1, -1]), st.integers(10**40, 10**45), st.integers(1, 12),
+)
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(INVERSE_ORDERS), st.data())
 def test_inverse(order, data):
-    a = data.draw(scalars(order))
+    field = cyclotomic_field(order)
+    if data.draw(st.booleans()):
+        a = data.draw(scalars(order))
+    else:  # coefficients above 10**40
+        a = Scalar(field, data.draw(
+            st.lists(huge, min_size=field.degree, max_size=field.degree)))
     if a.is_zero():
         with pytest.raises(ZeroDivisionError):
             a.inverse()
