@@ -4,12 +4,13 @@ Each bundle kind matches one family of structures the checkers and
 constructions operate on.  Construction validates shape, grading
 compatibility and evenness eagerly, so a bundle in hand is always
 well-formed (the identities themselves are NOT assumed; that is what the
-checkers are for).  Bundles are frozen: the checkers store their reports
-on the bundle they certified.
+checkers are for).  Bundles are frozen: the checkers and
+``is_multiplicative`` store their results on the bundle (``_once_per_bundle``).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import tables
@@ -22,6 +23,20 @@ def _require_even(name, m):
     rep = check_evenness(m)
     if not rep.passed:
         raise InputError(f"{name} is not even: {rep.violations[0].describe()}")
+
+
+def _once_per_bundle(check):
+    """Store check's result on its bundle, keyed by the check.  Bundles
+    are frozen, so a stored result cannot go stale."""
+
+    @functools.wraps(check)
+    def memo(bundle):
+        reports = vars(bundle).setdefault("_reports", {})
+        if check not in reports:
+            reports[check] = check(bundle)
+        return reports[check]
+
+    return memo
 
 
 class _Bundle:
@@ -182,8 +197,8 @@ def associator_law(product: MultilinearMap, twist: EvenMap, sign=1):
     P, tw = tables.table(product), tables.twist(twist)
     return tables.law(
         product.codomain,
-        tables.twisted_right(sign, P, P, tw),
-        tables.twisted_left(-sign, P, P, tw),
+        tables.term(sign, P, (P, 0, 1), (tw, 2)),
+        tables.term(-sign, P, (tw, 0), (P, 1, 2)),
     )
 
 
@@ -193,8 +208,10 @@ def associator_map(product: MultilinearMap, twist: EvenMap) -> MultilinearMap:
     return tables.materialize((space,) * 3, space, associator_law(product, twist))
 
 
+@_once_per_bundle
 def is_multiplicative(bundle) -> bool:
-    """Does the bundle's twist map commute with all its structure maps?"""
+    """Does the bundle's twist map commute with all its structure maps?
+    Tested once per bundle."""
     return is_endomorphism(bundle.twist, bundle.ops())
 
 

@@ -8,10 +8,10 @@ always evaluated at the degrees of the original homogeneous arguments of
 the tuple under test; inner occurrences are table-driven and need no
 extra signs.
 
-Scans run on compiled integer tables (``tables``): each map is compiled
-once, at the first scan that needs it, and a defect is a sum of integer
-products, so the scalar kernels are off the scan path.  Only a nonzero
-defect becomes an exact ``Vector`` in the report.
+Scans run on compiled integer tables (``tables``): each law is a sum of
+``tables.term`` written as the paper writes the formula, and a defect is
+a sum of integer products, so the scalar kernels are off the scan path.
+Only a nonzero defect becomes an exact ``Vector`` in the report.
 
 Every scan runs in one thread: worker threads were measured 20-40%
 slower under the interpreter lock.  A checker that takes a bundle
@@ -21,8 +21,6 @@ per bundle object however many callers ask for it.
 
 from __future__ import annotations
 
-import functools
-
 from . import tables
 from .bundles import (
     AkivisBundle,
@@ -31,6 +29,7 @@ from .bundles import (
     ModuleBundle,
     NHLPBundle,
     NonAssocBundle,
+    _once_per_bundle,
     associator_law,
     associator_map,
     is_sign_commutative,
@@ -45,7 +44,7 @@ from .linalg import (
     endomorphism_defects,
 )
 from .report import CheckReport, Violation, sorted_violations
-from .tables import FIRST, SECOND
+from .tables import law, term
 
 __all__ = [
     "scan_identity",
@@ -77,53 +76,29 @@ def scan_identity(identity_id, keys, defect_fn, jobs=1, note="") -> CheckReport:
     return CheckReport(identity_id, sorted_violations(violations), note=note)
 
 
-def _once_per_bundle(check):
-    """Store check's report on its bundle, keyed by the check.  Bundles
-    are frozen, so a stored report cannot go stale."""
-
-    @functools.wraps(check)
-    def memo(bundle):
-        reports = vars(bundle).setdefault("_reports", {})
-        if check not in reports:
-            reports[check] = check(bundle)
-        return reports[check]
-
-    return memo
-
-
 def _signs(b, a=None, c=None):
     """eps on the degrees of the bases of spaces a x c (default: b.space)."""
     space = b.space if a is None else a
     return tables.signs(b.bichar, space, space if c is None else c)
 
 
-def _rotations(sign, den, pick):
-    """The three terms of a cyclic sum over (x,y,z), (y,z,x), (z,x,y)."""
-    return (
-        (sign, den, pick),
-        (sign, den, lambda x, y, z: pick(y, z, x)),
-        (sign, den, lambda x, y, z: pick(z, x, y)),
-    )
+# the rotations (x,y,z), (y,z,x), (z,x,y) of a cyclic sum
+_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
 
 @_once_per_bundle
 def check_skew_symmetry(b) -> CheckReport:
     """bracket(x, y) + eps(x, y) * bracket(y, x) == 0 on all basis pairs."""
-    space = b.space
-    defect = tables.law(space, *tables.sign_swap(
-        1, tables.table(b.bracket), _signs(b), tables.unit(space)))
+    space, B = b.space, tables.table(b.bracket)
+    defect = law(space, term(1, B, 0, 1), term(1, B, 1, 0, eps=[(_signs(b), 0, 1)]))
     keys = [(i, j) for i in range(space.dim) for j in range(i, space.dim)]
     return scan_identity("skew-symmetry", keys, defect)
 
 
-def _bracket_cycle(b, eps):
+def _bracket_cycle(b, E):
     """The terms of sum_cyc eps(z,x) [[x,y], t(z)]."""
-    br, tw = tables.table(b.bracket), tables.twist(b.twist)
-    E = br.scaled_by(eps.at, eps.den)
-    R = br.images(tw, SECOND)
-    rows = R.entries
-    return _rotations(1, br.den * eps.den * R.den,
-                      lambda x, y, z: (E[z][x][x][y], rows[z]))
+    B, tw = tables.table(b.bracket), tables.twist(b.twist)
+    return [term(1, B, (B, x, y), (tw, z), eps=[(E, z, x)]) for x, y, z in _CYCLIC]
 
 
 @_once_per_bundle
@@ -138,22 +113,14 @@ def check_akivis_identity(b: AkivisBundle) -> CheckReport:
     pre = check_skew_symmetry(b)
     if not pre.passed:
         return CheckReport("hom-akivis", precondition_failure=pre)
-    space = b.space
-    eps, unit = _signs(b), tables.unit(space)
-    at, r = eps.at, range(space.dim)
-    T = tables.table(b.ternary)
-    TE = T.scaled_by(at, eps.den)  # TE[z][x]: eps(z,x) T
-    TEE = T.scaled_by(  # TEE[z][x][y]: eps(z,x) eps(x,y) T
-        [[[eps.mul(at[z][x], at[x][y]) for y in r] for x in r] for z in r],
-        eps.den ** 2, depth=3)
-    defect = tables.law(
-        space,
-        *_bracket_cycle(b, eps),
-        *_rotations(-1, T.den * eps.den, lambda x, y, z: (TE[z][x][x][y][z], unit)),
-        *_rotations(1, T.den * eps.den ** 2,
-                    lambda x, y, z: (TEE[z][x][y][y][x][z], unit)),
+    T, E = tables.table(b.ternary), _signs(b)
+    defect = law(
+        b.space,
+        *_bracket_cycle(b, E),
+        *(term(-1, T, x, y, z, eps=[(E, z, x)]) for x, y, z in _CYCLIC),
+        *(term(1, T, y, x, z, eps=[(E, z, x), (E, x, y)]) for x, y, z in _CYCLIC),
     )
-    return scan_identity("hom-akivis", space.tuples(3), defect)
+    return scan_identity("hom-akivis", b.space.tuples(3), defect)
 
 
 @_once_per_bundle
@@ -162,7 +129,7 @@ def check_hom_lie(b) -> CheckReport:
     pre = check_skew_symmetry(b)
     if not pre.passed:
         return CheckReport("hom-jacobi", precondition_failure=pre)
-    defect = tables.law(b.space, *_bracket_cycle(b, _signs(b)))
+    defect = law(b.space, *_bracket_cycle(b, _signs(b)))
     return scan_identity("hom-jacobi", b.space.tuples(3), defect)
 
 
@@ -191,14 +158,13 @@ def check_flexible_alternative(b) -> CheckReport:
     treat this as a classifier and read the flags rather than the pass bit.
     """
     space = b.space
-    T, eps, unit = tables.table(_ternary_of(b)), _signs(b), tables.unit(space)
-    Te, TE = T.entries, T.scaled_by(eps.at, eps.den)  # TE[x][y]: eps(x,y) T
+    T, E = tables.table(_ternary_of(b)), _signs(b)
     deg = space.degree
-    itself = (1, T.den, lambda x, y, z: (Te[x][y][z], unit))
+    itself = term(1, T, 0, 1, 2)
 
-    def swapped(pick):
-        """The law T(x,y,z) + (eps-scaled entry of a permuted tuple)."""
-        return tables.law(space, itself, (1, T.den * eps.den, pick))
+    def swapped(*args, eps=()):
+        """The law T(x,y,z) + (eps) T(permuted args)."""
+        return law(space, itself, term(1, T, *args, eps=eps))
 
     literal_keys = [
         (x, y, z)
@@ -207,9 +173,9 @@ def check_flexible_alternative(b) -> CheckReport:
         for z in range(x, space.dim)
         if x == z or deg(x) == deg(z)
     ]
-    literal = scan_identity("flexible-literal", literal_keys, tables.law(
-        space, itself,
-        (1, T.den, lambda x, y, z: (Te[z][y][x] if x != z else (), unit))))
+    alone, pair = law(space, itself), swapped(2, 1, 0)
+    literal = scan_identity("flexible-literal", literal_keys,
+                            lambda k: (alone if k[0] == k[2] else pair)(k))
 
     polarized_keys = [
         (x, y, z)
@@ -217,18 +183,18 @@ def check_flexible_alternative(b) -> CheckReport:
         for y in range(space.dim)
         for z in range(x, space.dim)
     ]
-    polarized = scan_identity("flexible-polarized", polarized_keys, swapped(
-        lambda x, y, z: (TE[x][z][z][y][x], unit)))
+    polarized = scan_identity("flexible-polarized", polarized_keys,
+                              swapped(2, 1, 0, eps=[(E, 0, 2)]))
 
     # the two adjacent swaps generate all permutations, so eps-alternating
     # reduces to these two families
     alt_sub = CheckReport(
         "alternative",
         subreports=(
-            scan_identity("alternative-first-pair", space.tuples(3), swapped(
-                lambda x, y, z: (TE[x][y][y][x][z], unit))),
-            scan_identity("alternative-second-pair", space.tuples(3), swapped(
-                lambda x, y, z: (TE[y][z][x][z][y], unit))),
+            scan_identity("alternative-first-pair", space.tuples(3),
+                          swapped(1, 0, 2, eps=[(E, 0, 1)])),
+            scan_identity("alternative-second-pair", space.tuples(3),
+                          swapped(0, 2, 1, eps=[(E, 1, 2)])),
         ),
     )
     flags = {
@@ -257,24 +223,14 @@ def check_flexible_akivis_relation(b: AkivisBundle) -> CheckReport:
     if not classify.flags["flexible"]:
         failed = classify.subreports[1]
         return CheckReport("flexible-akivis-relation", precondition_failure=failed)
-    space = b.space
-    eps, unit = _signs(b), tables.unit(space)
-    at, r = eps.at, range(space.dim)
-    T = tables.table(b.ternary)
-
-    def coefficient(x, y, z):
-        pair = eps.mul(at[x][y], at[y][z])
-        return tuple(eps.den * u + v for u, v in zip(at[z][x], pair))
-
-    TC = T.scaled_by([[[coefficient(x, y, z) for z in r] for y in r] for x in r],
-                     eps.den ** 2, depth=3)
-    defect = tables.law(
-        space,
-        *_bracket_cycle(b, eps),
-        *_rotations(-1, T.den * eps.den ** 2,
-                    lambda x, y, z: (TC[x][y][z][x][y][z], unit)),
+    T, E = tables.table(b.ternary), _signs(b)
+    defect = law(
+        b.space,
+        *_bracket_cycle(b, E),
+        *(term(-1, T, x, y, z, eps=[(E, z, x)]) for x, y, z in _CYCLIC),
+        *(term(-1, T, x, y, z, eps=[(E, x, y), (E, y, z)]) for x, y, z in _CYCLIC),
     )
-    return scan_identity("flexible-akivis-relation", space.tuples(3), defect)
+    return scan_identity("flexible-akivis-relation", b.space.tuples(3), defect)
 
 
 def check_hom_associativity(product: MultilinearMap, twist: EvenMap) -> CheckReport:
@@ -290,12 +246,12 @@ def check_color_leibniz(b) -> CheckReport:
 
         [t(x), [y,z]] == [[x,y], t(z)] + eps(x,y) [t(y), [x,z]]
     """
-    br, tw = tables.table(b.bracket), tables.twist(b.twist)
-    defect = tables.law(
+    B, tw = tables.table(b.bracket), tables.twist(b.twist)
+    defect = law(
         b.space,
-        tables.twisted_left(1, br, br, tw),
-        tables.twisted_right(-1, br, br, tw),
-        tables.twisted_swap(-1, br, br, tw, _signs(b)),
+        term(1, B, (tw, 0), (B, 1, 2)),
+        term(-1, B, (B, 0, 1), (tw, 2)),
+        term(-1, B, (tw, 1), (B, 0, 2), eps=[(_signs(b), 0, 1)]),
     )
     return scan_identity("color-hom-leibniz", b.space.tuples(3), defect)
 
@@ -314,20 +270,18 @@ def check_leibniz_consequences(b: LeibnizBundle) -> CheckReport:
     if not pre.passed:
         return CheckReport("leibniz-consequences", precondition_failure=pre)
     space = b.space
-    br, tw, eps = tables.table(b.bracket), tables.twist(b.twist), _signs(b)
-    E = br.scaled_by(eps.at, eps.den)  # E[x][y]: eps(x,y) bracket
-    R = br.images(tw, SECOND)
-    symmetrized = tables.law(
+    B, tw, E = tables.table(b.bracket), tables.twist(b.twist), _signs(b)
+    symmetrized = law(
         space,
-        tables.twisted_right(1, br, br, tw),
-        (1, br.den * eps.den * R.den, lambda x, y, z: (E[x][y][y][x], R.entries[z])),
+        term(1, B, (B, 0, 1), (tw, 2)),
+        term(1, B, (B, 1, 0), (tw, 2), eps=[(E, 0, 1)]),
     )
-    comm = tables.table(commutator_map(b.bracket, b.bichar))
-    derived = tables.law(
+    C = tables.table(commutator_map(b.bracket, b.bichar))
+    derived = law(
         space,
-        tables.twisted_right(1, comm, br, tw),
-        tables.twisted_swap(1, comm, br, tw, eps),
-        tables.twisted_left(-1, br, comm, tw),
+        term(1, C, (B, 0, 1), (tw, 2)),
+        term(1, C, (tw, 1), (B, 0, 2), eps=[(E, 0, 1)]),
+        term(-1, B, (tw, 0), (C, 1, 2)),
     )
     subs = (
         scan_identity("leibniz-symmetrized-action", space.tuples(3), symmetrized),
@@ -348,12 +302,12 @@ def check_nhlp(b: NHLPBundle) -> CheckReport:
     space = b.space
     leibniz = check_color_leibniz(b)
     assoc = check_hom_associativity(b.product, b.twist)
-    br, mu, tw = tables.table(b.bracket), tables.table(b.product), tables.twist(b.twist)
-    compat = tables.law(
+    B, P, tw = tables.table(b.bracket), tables.table(b.product), tables.twist(b.twist)
+    compat = law(
         space,
-        tables.twisted_left(1, br, mu, tw),
-        tables.twisted_right(-1, mu, br, tw),
-        tables.twisted_swap(-1, mu, br, tw, _signs(b)),
+        term(1, B, (tw, 0), (P, 1, 2)),
+        term(-1, P, (B, 0, 1), (tw, 2)),
+        term(-1, P, (tw, 1), (B, 0, 2), eps=[(_signs(b), 0, 1)]),
     )
     compat_rep = scan_identity("leibniz-compatibility", space.tuples(3), compat)
     flags = {"commutative": is_sign_commutative(b.product, b.bichar)}
@@ -374,17 +328,24 @@ def check_dialgebra(b: DialgebraBundle) -> CheckReport:
     space = b.space
     L, R = tables.table(b.prod_left), tables.table(b.prod_right)
     tw = tables.twist(b.twist)
-    left, right = tables.twisted_left, tables.twisted_right
+
+    def xy_z(O, I):  # O(I(x,y), t(z))
+        return O, (I, 0, 1), (tw, 2)
+
+    def x_yz(O, I):  # O(t(x), I(y,z))
+        return O, (tw, 0), (I, 1, 2)
+
     axioms = (
-        (right(1, L, R, tw), left(-1, R, L, tw)),
-        (left(1, L, L, tw), right(-1, L, L, tw)),
-        (right(1, L, L, tw), left(-1, L, R, tw)),
-        (right(1, R, L, tw), left(-1, R, R, tw)),
-        (left(1, R, R, tw), right(-1, R, R, tw)),
+        (xy_z(L, R), x_yz(R, L)),
+        (x_yz(L, L), xy_z(L, L)),
+        (xy_z(L, L), x_yz(L, R)),
+        (xy_z(R, L), x_yz(R, R)),
+        (x_yz(R, R), xy_z(R, R)),
     )
     subs = tuple(
-        scan_identity(f"dialgebra-axiom-{n}", space.tuples(3), tables.law(space, *terms))
-        for n, terms in enumerate(axioms, start=1)
+        scan_identity(f"dialgebra-axiom-{n}", space.tuples(3),
+                      law(space, term(1, *lhs), term(-1, *rhs)))
+        for n, (lhs, rhs) in enumerate(axioms, start=1)
     )
     return CheckReport("dialgebra", subreports=subs)
 
@@ -399,46 +360,32 @@ def check_module(mb: ModuleBundle) -> CheckReport:
         return CheckReport("module", precondition_failure=pre)
     alg = mb.algebra
     A, M = alg.space, mb.module_space
-    br, tA = tables.table(alg.bracket), tables.twist(alg.twist)
+    B, tA = tables.table(alg.bracket), tables.twist(alg.twist)
     aL, aR = tables.table(mb.act_left), tables.table(mb.act_right)
     tM = tables.twist(mb.module_twist)
-    B, AL, AR, tm = br.entries, aL.entries, aR.entries, tM.flat
-    d = A.field.degree
-    # the twisted actions aL(tA x, .), aR(tM m, .), aR(., tA x)
-    aL_tA, aR_tM, aR_tA = aL.images(tA, FIRST), aR.images(tM, FIRST), aR.images(tA, SECOND)
-    eps_am, eps_ma = _signs(alg, A, M), _signs(alg, M, A)
-    ARE = aR.scaled_by(eps_am.at, eps_am.den)  # ARE[x][m]: eps(x,m) aR
-    BE = br.scaled_by(eps_ma.at, eps_ma.den)   # BE[m][x]: eps(m,x) bracket
+    E, E_am, E_ma = _signs(alg), _signs(alg, A, M), _signs(alg, M, A)
 
-    twist_left = tables.law(  # tM(x.m) == t(x).t(m)
+    twist_left = law(  # tM(x.m) == t(x).t(m)
+        M, term(1, tM, (aL, 0, 1)), term(-1, aL, (tA, 0), (tM, 1)))
+    twist_right = law(  # tM(m*x) == t(m)*t(x)
+        M, term(1, tM, (aR, 0, 1)), term(-1, aR, (tM, 0), (tA, 1)))
+    bracket_left = law(  # [x,y].t(m) == t(x).(y.m) - eps(x,y) t(y).(x.m)
         M,
-        (1, aL.den * tM.den, lambda x, m: (AL[x][m], tm)),
-        (-1, tM.den * aL_tA.den, lambda x, m: (tm[m * d], aL_tA.entries[x])),
+        term(1, aL, (B, 0, 1), (tM, 2)),
+        term(-1, aL, (tA, 0), (aL, 1, 2)),
+        term(1, aL, (tA, 1), (aL, 0, 2), eps=[(E, 0, 1)]),
     )
-    twist_right = tables.law(  # tM(m*x) == t(m)*t(x)
+    bracket_right = law(  # t(m)*[x,y] == (x.m)*t(y) + eps(x,m) t(x).(m*y)
         M,
-        (1, aR.den * tM.den, lambda m, x: (AR[m][x], tm)),
-        (-1, tM.den * aR_tA.den, lambda m, x: (tm[m * d], aR_tA.entries[x])),
+        term(1, aR, (tM, 2), (B, 0, 1)),
+        term(-1, aR, (aL, 0, 2), (tA, 1)),
+        term(-1, aL, (tA, 0), (aR, 2, 1), eps=[(E_am, 0, 2)]),
     )
-    bracket_left = tables.law(  # [x,y].t(m) == t(x).(y.m) - eps(x,y) t(y).(x.m)
+    mixed = law(  # t(x).(m*y) == (x.m)*t(y) + eps(m,x) t(m)*[x,y]
         M,
-        tables.twisted_right(1, aL, br, tM),
-        tables.twisted_left(-1, aL, aL, tA),
-        tables.twisted_swap(1, aL, aL, tA, _signs(alg)),
-    )
-    bracket_right = tables.law(  # t(m)*[x,y] == (x.m)*t(y) + eps(x,m) t(x).(m*y)
-        M,
-        (1, br.den * aR_tM.den, lambda x, y, m: (B[x][y], aR_tM.entries[m])),
-        (-1, aL.den * aR_tA.den, lambda x, y, m: (AL[x][m], aR_tA.entries[y])),
-        (-1, aR.den * eps_am.den * aL_tA.den,
-         lambda x, y, m: (ARE[x][m][m][y], aL_tA.entries[x])),
-    )
-    mixed = tables.law(  # t(x).(m*y) == (x.m)*t(y) + eps(m,x) t(m)*[x,y]
-        M,
-        tables.twisted_left(1, aL, aR, tA),
-        tables.twisted_right(-1, aR, aL, tA),
-        (-1, br.den * eps_ma.den * aR_tM.den,
-         lambda x, m, y: (BE[m][x][x][y], aR_tM.entries[m])),
+        term(1, aL, (tA, 0), (aR, 1, 2)),
+        term(-1, aR, (aL, 0, 1), (tA, 2)),
+        term(-1, aR, (tM, 1), (B, 0, 2), eps=[(E_ma, 1, 0)]),
     )
 
     pairs_xm = [(x, m) for x in range(A.dim) for m in range(M.dim)]

@@ -66,13 +66,14 @@ def _write_output(path, doc):
         fh.write(text)
 
 
-def _certified_output(bundle):
-    """Serialize a constructed bundle with its own full check report
-    embedded.  Returns (document, report_passed)."""
+def _write_certified(path, bundle):
+    """Write a constructed bundle with its own full check report
+    embedded; returns the exit code of that report."""
     doc = serialize_bundle(bundle)
     results, flags = full_check(bundle)
     doc["report"] = report_document(doc, results, flags)
-    return doc, doc["report"]["passed"]
+    _write_output(path, doc)
+    return 0 if doc["report"]["passed"] else 1
 
 
 def _emit_report(report, fmt):
@@ -113,6 +114,8 @@ _CONSTRUCTIONS = {
 
 
 def cmd_construct(args):
+    if args.variant is not None and args.what != "tensor2":
+        raise InputError(f"--variant applies to tensor2, not {args.what}")
     doc, parsed = _load(args.input)
     expected_kind, build = _CONSTRUCTIONS[args.what]
     bundle = parsed.bundle
@@ -121,17 +124,12 @@ def cmd_construct(args):
             f"construct {args.what} expects a {expected_kind} bundle, got {bundle.kind}"
         )
     if args.what == "tensor2":
-        out, report = tensor_square_nhlp(bundle, variant=args.variant)
-        out_doc, ok = _certified_output(out)
-        _write_output(args.output, out_doc)
-        if not ok:
+        out, report = tensor_square_nhlp(bundle, variant=args.variant or "corrected")
+        code = _write_certified(args.output, out)
+        if code:
             print(report.describe(), file=sys.stderr)
-            return 1
-        return 0
-    out = build(bundle)
-    out_doc, ok = _certified_output(out)
-    _write_output(args.output, out_doc)
-    return 0 if ok else 1
+        return code
+    return _write_certified(args.output, build(bundle))
 
 
 def cmd_twist(args):
@@ -147,9 +145,7 @@ def cmd_twist(args):
         out = bundle
         for _ in range(args.power):
             out = twist_module(out)
-        out_doc, ok = _certified_output(out)
-        _write_output(args.output, out_doc)
-        return 0 if ok else 1
+        return _write_certified(args.output, out)
     if args.module:
         raise InputError(f"--module applies to module documents, not {bundle.kind}")
     if args.map == "alpha":
@@ -162,10 +158,7 @@ def cmd_twist(args):
     twists = {"akivis": twist_akivis, "leibniz": twist_leibniz, "nhlp": twist_nhlp}
     if bundle.kind not in twists:
         raise InputError(f"twisting is defined for {sorted(twists)} bundles, not {bundle.kind}")
-    out = twists[bundle.kind](bundle, beta, args.power)
-    out_doc, ok = _certified_output(out)
-    _write_output(args.output, out_doc)
-    return 0 if ok else 1
+    return _write_certified(args.output, twists[bundle.kind](bundle, beta, args.power))
 
 
 def cmd_examples(args):
@@ -202,8 +195,8 @@ def build_parser():
     p.add_argument("what", choices=sorted(_CONSTRUCTIONS))
     p.add_argument("input")
     p.add_argument("output", help="output path, or - for standard output")
-    p.add_argument("--variant", choices=("corrected", "as-printed"), default="corrected",
-                   help="tensor2 product rule variant")
+    p.add_argument("--variant", choices=("corrected", "as-printed"),
+                   help="tensor2 product rule variant (default corrected)")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("twist", help="twist a bundle along an endomorphism power")

@@ -14,35 +14,43 @@ Q-multilinear, so every law becomes a sum of integer products:
 * ``Table.images``: the twisted images L[x][q] = O(alpha e_x, zeta**t e_b)
   and R[z][q] = O(zeta**t e_a, alpha e_z), so that, for example,
   O(alpha e_x, I(e_y, e_z)) = sum_q I[y][z][q] * L[x][q];
-* ``Table.scaled``: an operation multiplied by one field scalar (a value
-  of eps, or a product of two), for the sign factors of a law;
 * ``Signs``: the values eps(deg i, deg j) over their own denominator,
   built once per bicharacter and pair of spaces (``signs``).
+
+A law is a sum of terms, each written with ``term`` the way the paper
+writes it.  On basis tuples k = (x, y, z),
+
+    term(-1, B, (t, 1), (B, 0, 2), eps=[(E, 0, 1)])
+
+is -eps(x,y) [t(y), [x,z]]: an argument is a key position p (e_k[p]),
+(twist, p) (t e_k[p]) or (inner, p, q) (inner(e_k[p], e_k[q])), and the
+outer map is an operation, or a twist applied to one inner product.
+Only ``term`` knows the layout: it picks the image table of the twisted
+argument, the flattened vector contracted with it and the copies of that
+vector's table scaled by the eps factors (``Table.signed``, built once
+per table and sign shape), and it computes the term's denominator.
+``law`` brings the terms over one common denominator and adds their
+integer products into one accumulator per basis tuple.  Only a nonzero
+accumulator is normalized, by the scalar kernel, into the exact Vector
+defect of a violation, so reports equal those of Scalar arithmetic.
 
 Field products happen only while compiling, through the scalar kernel's
 ``product`` and ``times_zeta``: an integer convolution folded back by the
 rows of ``FieldDescriptor.reduction``, with no gcd.
-A law is a sum of terms, each a contraction of a flattened table entry
-with a row of images (``law``); a scan adds their integer products into
-one accumulator per basis tuple.  Only a nonzero accumulator is
-normalized, by the scalar kernel, into the exact Vector defect of a
-violation, so reports equal those of Scalar arithmetic.
 
 A derived map is a law too, kept as a MultilinearMap by ``materialize``:
-the ``commutator`` (``sign_swap``, which also gives the eps-skew law), the
+the ``commutator`` (whose zero test is eps-commutativity), the
 Hom-associator, the dialgebra bracket and the twisted module actions.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from math import lcm
+from math import lcm, prod
 
 from ._backend import kernel as _K
 from .linalg import MultilinearMap, Vector
 from .scalars import Scalar
-
-FIRST, SECOND = 0, 1  # which argument of a binary operation carries the twist
 
 
 def _numerators(s: Scalar, den):
@@ -105,11 +113,10 @@ class Table:
 
     def images(self, twist: "Twist", arg):
         """Twisted images of a binary operation as a Table whose rows are
-        indexed by the basis of the twisted argument ``arg`` (FIRST or
-        SECOND) and whose columns are the flattened positions of the
-        other argument: row x, column q = b*d + t holds
-        O(twist e_x, zeta**t e_b) for FIRST and O(zeta**t e_b, twist e_x)
-        for SECOND."""
+        indexed by the basis of the twisted argument ``arg`` (0 or 1) and
+        whose columns are the flattened positions of the other argument:
+        row x, column q = b*d + t holds O(twist e_x, zeta**t e_b) for
+        arg 0 and O(zeta**t e_b, twist e_x) for arg 1."""
         key = ("images", arg, id(twist))
         hit = self._memo.get(key)
         if hit is not None:
@@ -124,7 +131,7 @@ class Table:
             for b in range(other):
                 value = {}
                 for i, a in twist.columns[x]:
-                    entry = coords[i][b] if arg == FIRST else coords[b][i]
+                    entry = coords[i][b] if arg == 0 else coords[b][i]
                     for k, o in entry:
                         _accumulate(value, k, _K.product(a, o, red))
                 for t in range(d):
@@ -161,11 +168,31 @@ class Table:
         self._memo[key] = out
         return out
 
-    def scaled_by(self, grid, den, depth=2):
-        """Nested lists shaped like ``grid`` (of numerator tuples over
-        den, ``depth`` levels deep) holding the entries of this table
-        scaled by each scalar; equal scalars share one scaled table."""
-        return _map_grid(grid, depth, lambda nums: self.scaled(nums, den).entries)
+    def signed(self, shape):
+        """This table's entries times a product of eps values, for every
+        choice of basis indices: ``shape`` lists the factors
+        (signs, i, j) = eps(index i, index j), with the indices numbered
+        0, 1, ... in order of first appearance, and the grid nests one
+        list level per index.  Built once per shape, so the rotations of
+        a cyclic sum share it.  Returns (grid, denominator of the scale)."""
+        key = ("signed", shape)  # Signs compare by identity
+        hit = self._memo.get(key)
+        if hit is None:
+            ranges = {}  # from the spaces, so an empty basis gives an empty grid
+            for e, i, j in shape:
+                ranges[i], ranges[j] = e.dims
+            den, red = prod(e.den for e, _, _ in shape), self.field.reduction
+
+            def leaf(index):
+                nums = None
+                for e, i, j in shape:
+                    v = e.at[index[i]][index[j]]
+                    nums = v if nums is None else _K.product(nums, v, red)
+                return self.scaled(nums, den).entries
+
+            grid = _grid([ranges[i] for i in range(len(ranges))], leaf)
+            hit = self._memo[key] = (grid, den)
+        return hit
 
 
 class Twist:
@@ -226,13 +253,9 @@ class Signs:
     def __init__(self, bichar, a, b):
         values = [[bichar(a.degree(i), b.degree(j)) for j in range(b.dim)]
                   for i in range(a.dim)]
-        self.field = a.field
+        self.dims = (a.dim, b.dim)
         self.den = lcm(1, *(s.den for row in values for s in row))
         self.at = [[_numerators(s, self.den) for s in row] for row in values]
-
-    def mul(self, u, v):
-        """Product of two numerator tuples (over den**2)."""
-        return _K.product(u, v, self.field.reduction)
 
 
 def signs(bichar, a, b) -> Signs:
@@ -248,65 +271,89 @@ def signs(bichar, a, b) -> Signs:
 # laws as sums of contractions
 
 
-def unit(space):
-    """Images u with u[q] = e_q: contracting a flattened vector with them
-    adds the vector itself (a term that is one table entry)."""
-    return [((q, 1),) for q in range(space.dim * space.field.degree)]
+# _PICK[n](grid, p1, .., pn) is key -> grid[key[p1]]..[key[pn]]: one
+# closure per term, called once per basis tuple
+_PICK = (
+    None,
+    lambda g, a: lambda k: g[k[a]],
+    lambda g, a, b: lambda k: g[k[a]][k[b]],
+    lambda g, a, b, c: lambda k: g[k[a]][k[b]][k[c]],
+    lambda g, a, b, c, e: lambda k: g[k[a]][k[b]][k[c]][k[e]],
+    lambda g, a, b, c, e, f: lambda k: g[k[a]][k[b]][k[c]][k[e]][k[f]],
+    lambda g, a, b, c, e, f, h: lambda k: g[k[a]][k[b]][k[c]][k[e]][k[f]][k[h]],
+)
 
 
-def sign_swap(sign, op: Table, eps: "Signs", unit):
-    """The terms op(e_i, e_j) + sign * eps(i,j) * op(e_j, e_i) of a law on
-    basis pairs: sign +1 is the eps-skew defect, -1 the commutator."""
-    entries, scaled = op.entries, op.scaled_by(eps.at, eps.den)
-    return ((1, op.den, lambda i, j: (entries[i][j], unit)),
-            (sign, op.den * eps.den, lambda i, j: (scaled[i][j][j][i], unit)))
+def term(sign, outer, *args, eps=()):
+    """The law term sign * eps(..) * .. * outer(*args) on basis tuples k.
+
+    ``outer`` is a Table, or a Twist applied to one inner product.  An
+    argument is a key position p (e_k[p]), (twist, p) (twist e_k[p]) or
+    (inner, p, q) (inner(e_k[p], e_k[q])); a binary outer with a twisted
+    argument takes one other argument, and an outer of any arity takes
+    key positions only.  ``eps`` lists factors (signs, p, q) =
+    eps(deg k[p], deg k[q]) with signs from ``signs``.  For example
+    term(-1, B, (t, 1), (B, 0, 2), eps=[(E, 0, 1)]) is
+    -eps(x,y) [t(y), [x,z]]."""
+    if isinstance(outer, Twist):  # the images of outer(v) are its columns
+        (source,), rows, at, rows_den = args, outer.flat, None, outer.den
+    else:
+        for i, arg in enumerate(args):
+            if isinstance(arg, tuple) and isinstance(arg[0], Twist):
+                # the first twisted argument indexes the image rows
+                tw, at = arg
+                images = outer.images(tw, i)
+                source, rows, rows_den = args[1 - i], images.entries, images.den
+                break
+        else:  # one table entry, itself the value
+            source, rows, at, rows_den = (outer, *args), None, None, 1
+    if isinstance(source, int):  # the basis vector e_k[p] of outer's argument 1 - i
+        n, d = outer.dims[1 - i], outer.field.degree
+        source = (Table(outer.field, (n,), 1, [((k * d, 1),) for k in range(n)]), source)
+    elif isinstance(source[0], Twist):  # the column twist e_k[p]
+        tw, p = source
+        n, d = len(tw.columns), outer.field.degree
+        source = (Table(outer.field, (n,), tw.den, tw.flat[::d]), p)
+    table, positions = source[0], source[1:]
+    grid, eps_den = table.entries, 1
+    if eps:
+        # the key positions of the factors, in order of first appearance
+        index = list(dict.fromkeys(r for _, p, q in eps for r in (p, q)))
+        grid, eps_den = table.signed(
+            tuple([(e, index.index(p), index.index(q)) for e, p, q in eps]))
+        positions = (*index, *positions)
+    return (sign, table.den * eps_den * rows_den,
+            _PICK[len(positions)](grid, *positions), rows, at)
 
 
 def commutator(op, bichar):
     """The law op(e_i, e_j) - eps(i,j) op(e_j, e_i) of a binary
     MultilinearMap op."""
-    space = op.codomain
-    return law(space, *sign_swap(-1, table(op), signs(bichar, *op.spaces), unit(space)))
-
-
-def twisted_left(sign, outer: Table, inner: Table, tw: Twist):
-    """The law term sign * outer(t e_x, inner(e_y, e_z))."""
-    rows = outer.images(tw, FIRST)
-    images, entries = rows.entries, inner.entries
-    return sign, inner.den * rows.den, lambda x, y, z: (entries[y][z], images[x])
-
-
-def twisted_right(sign, outer: Table, inner: Table, tw: Twist):
-    """The law term sign * outer(inner(e_x, e_y), t e_z)."""
-    rows = outer.images(tw, SECOND)
-    images, entries = rows.entries, inner.entries
-    return sign, inner.den * rows.den, lambda x, y, z: (entries[x][y], images[z])
-
-
-def twisted_swap(sign, outer: Table, inner: Table, tw: Twist, eps: "Signs"):
-    """The law term sign * eps(x,y) * outer(t e_y, inner(e_x, e_z)), the
-    sign-carrying term of the Leibniz-type laws."""
-    rows = outer.images(tw, FIRST)
-    images, scaled = rows.entries, inner.scaled_by(eps.at, eps.den)
-    return (sign, inner.den * eps.den * rows.den,
-            lambda x, y, z: (scaled[x][y][x][z], images[y]))
+    O, E = table(op), signs(bichar, *op.spaces)
+    return law(op.codomain, term(1, O, 0, 1), term(-1, O, 1, 0, eps=[(E, 0, 1)]))
 
 
 def law(space, *terms):
-    """defect(key) -> the Vector sum of the terms at basis tuple key, or
-    None when it is zero.  A term is (sign, den, pick): pick(*key) gives
-    a flattened vector v and images u, and the term is
-    sign * sum_q v[q] * u[q] / den.  The terms are brought over one
-    common denominator and summed in one integer accumulator."""
-    common = lcm(*(den for _, den, _ in terms))
-    plan = [(sign * (common // den), pick) for sign, den, pick in terms]
+    """defect(key) -> the Vector sum of the terms (``term``) at basis
+    tuple key, or None when it is zero.  A term is (sign, den, pick, rows,
+    at): pick(key) gives a flattened vector v, contracted with the images
+    u = rows[key[at]] (rows itself when at is None) into
+    sign * sum_q v[q] * u[q] / den, or taken as it is when rows is None.
+    The terms are brought over one common denominator and summed in one
+    integer accumulator."""
     n = space.dim * space.field.degree
+    common = lcm(*(den for _, den, *_ in terms))
+    plan = [(sign * (common // den), pick, rows, at) for sign, den, pick, rows, at in terms]
 
     def defect(key):
         acc = [0] * n
-        for scale, pick in plan:
-            vec, images = pick(*key)
-            for q, c in vec:
+        for scale, pick, rows, at in plan:
+            if rows is None:  # no images: the term is v itself
+                for q, c in pick(key):
+                    acc[q] += scale * c
+                continue
+            images = rows if at is None else rows[key[at]]
+            for q, c in pick(key):
                 c *= scale
                 for p, v in images[q]:
                     acc[p] += c * v

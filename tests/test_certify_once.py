@@ -57,6 +57,15 @@ def scan_ledger(monkeypatch):
     return ledger
 
 
+def patch_everywhere(monkeypatch, fn, replacement):
+    """Point every colorhom module attribute bound to fn at replacement."""
+    for modname, mod in list(sys.modules.items()):
+        if modname.startswith("colorhom"):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, replacement)
+
+
 def repeats(ledger):
     counts = Counter((id(bundle), identity) for bundle, identity in ledger)
     return {identity: n for (_, identity), n in counts.items() if n > 1}
@@ -122,12 +131,7 @@ def test_full_check_does_not_revalidate(monkeypatch, name):
         return wrapper
 
     for fn in (linalg.check_evenness, grading.validate_bicharacter):
-        wrapped = counting(fn)
-        for modname, mod in list(sys.modules.items()):
-            if modname.startswith("colorhom"):
-                for attr, value in list(vars(mod).items()):
-                    if value is fn:
-                        monkeypatch.setattr(mod, attr, wrapped)
+        patch_everywhere(monkeypatch, fn, counting(fn))
     results, _ = io.full_check(bundle)
     assert calls == Counter()
     lines = {rep.identity_id: rep.passed for rep, _ in results[:2]}
@@ -145,11 +149,7 @@ def test_parse_checks_each_map_for_evenness_once(monkeypatch):
         checked[id(obj)] += 1
         return check_evenness(obj)
 
-    for modname, mod in list(sys.modules.items()):
-        if modname.startswith("colorhom"):
-            for attr, value in list(vars(mod).items()):
-                if value is check_evenness:
-                    monkeypatch.setattr(mod, attr, counting)
+    patch_everywhere(monkeypatch, check_evenness, counting)
     bundle = io.parse_document(doc).bundle
     assert checked == Counter({id(bundle.bracket): 1, id(bundle.twist): 1})
 
@@ -158,3 +158,26 @@ def test_parse_checks_each_map_for_evenness_once(monkeypatch):
     parsed = io.parse_document(doc)
     assert sorted(checked.values()) == [1, 1, 1]
     assert id(parsed.extra_maps["beta"]) in checked
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["twist", "fixtures/module-M", "-", "--module", "--power", "3"],
+        ["twist", "fixtures/leibniz-L2", "-", "--power", "2"],
+    ],
+)
+def test_cli_tests_the_twist_for_multiplicativity_once(monkeypatch, argv):
+    """The twist constructions and the embedded report ask one stored
+    multiplicativity test of the bundle."""
+    tested = []
+    endomorphism_defects = linalg.endomorphism_defects
+
+    def counting(f, ops):
+        tested.append(f)
+        return endomorphism_defects(f, ops)
+
+    patch_everywhere(monkeypatch, endomorphism_defects, counting)
+    with contextlib.redirect_stdout(stdio.StringIO()):
+        assert cli.main(argv) == 0
+    assert len(tested) == 1

@@ -1,11 +1,13 @@
 """End-to-end command behavior through cli.main, without subprocesses."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from colorhom import cli, io
-from colorhom.fixtures import fixture_document, fixture_names
+from colorhom.checkers import check_color_leibniz
+from colorhom.fixtures import fixture, fixture_document, fixture_names
 
 
 def run(capsys, *argv):
@@ -194,6 +196,14 @@ def test_construct_tensor2_as_printed_writes_failing_output(tmp_path, capsys):
     assert doc["report"]["passed"] is False  # written anyway, marked failing
 
 
+def test_construct_variant_only_for_tensor2(capsys):
+    code, out, err = run(capsys, "construct", "akivis", "fixtures/nonassoc-NA2", "-",
+                         "--variant", "as-printed")
+    assert code == 2
+    assert out == ""
+    assert "--variant" in err
+
+
 def test_construct_tensor2_corrected_passes(tmp_path, capsys):
     te = tmp_path / "te.json"
     run(capsys, "construct", "trivext", "fixtures/leibniz-L2", str(te))
@@ -373,3 +383,30 @@ def test_output_files_end_with_newline(tmp_path, capsys):
     out_path = tmp_path / "t.json"
     run(capsys, "construct", "trivext", "fixtures/leibniz-L2", str(out_path))
     assert out_path.read_text().endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# the README's examples
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_check_sample(capsys):
+    """The sample run of ``colorhom check``, digest line included."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("$ colorhom check fixtures/leibniz-L2") + 1
+    sample = lines[start:lines.index("```", start)]
+    code, out, _ = run(capsys, "check", "fixtures/leibniz-L2")
+    assert code == 0
+    assert out.splitlines() == sample
+
+
+def test_readme_library_sample():
+    """The commented output of ``rep.describe(limit=2)`` in the Library
+    section."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index("print(rep.describe(limit=2))") + 1
+    sample = [line[2:] for line in lines[start:lines.index("```", start)]]
+    rep = check_color_leibniz(fixture("leibniz-L2-broken").bundle)
+    assert rep.describe(limit=2).splitlines() == sample

@@ -300,7 +300,7 @@ def compare(b, reports):
 def test_engine_matches_vector_expressions(scans, N, grading):
     rng = random.Random(f"{N}-{grading}")
     seen = set()
-    for dim in (1, DIM[grading]):
+    for dim in (0, 1, DIM[grading]):
         for kind, b in random_bundles(rng, N, grading, dim):
             reports = scans(b)
             assert reports, kind
