@@ -11,7 +11,8 @@ extra signs.
 Scans run on compiled integer tables (``tables``): each law is a sum of
 ``tables.term`` written as the paper writes the formula, and a defect is
 a sum of integer products, so the scalar kernels are off the scan path.
-Only a nonzero defect becomes an exact ``Vector`` in the report.
+A nonzero defect stays integers over one denominator (``tables.Defect``)
+in its violation; it becomes an exact ``Vector`` only when read.
 
 Every scan runs in one thread: worker threads were measured 20-40%
 slower under the interpreter lock.  A checker that takes a bundle
@@ -65,9 +66,10 @@ __all__ = [
 
 
 def scan_identity(identity_id, keys, defect_fn, jobs=1, note="") -> CheckReport:
-    """Evaluate defect_fn(key) -> Vector over all keys; nonzero defects
-    become violations, sorted canonically.  ``jobs`` is ignored; it stays
-    only because the perfbench scan wrapper passes it positionally."""
+    """Evaluate defect_fn(key) -> Defect, Vector or None over all keys;
+    nonzero defects become violations, sorted canonically.  ``jobs`` is
+    ignored; it stays only because the perfbench scan wrapper passes it
+    positionally."""
     violations = []
     for k in keys:
         d = defect_fn(k)

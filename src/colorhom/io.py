@@ -9,7 +9,14 @@ bundle is fully trustworthy in memory.
 
 Reports are JSON too, embedding the tool version and the sha256 digest of
 the canonical re-serialization of the input, so a report is stable under
-whitespace-only changes to its input.
+whitespace-only changes to its input.  A law scan's defect is written
+straight from the scan's integers (``tables.Defect``), each coefficient
+reduced on its own, with no Scalar or Vector in between.
+
+Every document is written as json.dumps(doc, sort_keys=True, indent=1)
+writes it.  Before CPython 3.13 json's C encoder cannot indent, so
+``indented_json`` writes those bytes instead, with a template for report
+violations; from 3.13 on json.dumps itself runs.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import functools
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass, field as dataclass_field
 
 from . import __version__
@@ -40,7 +48,8 @@ from .errors import InputError, too_many_digits
 from .grading import Bicharacter, GradingGroup
 from .linalg import EvenMap, GradedSpace, MultilinearMap, Vector
 from .report import CheckReport
-from .scalars import Scalar, cyclotomic_field, scalar_from_text, scalar_to_text
+from .scalars import Scalar, _ratio_texts, cyclotomic_field, scalar_from_text, scalar_to_text
+from .tables import Defect
 
 BUNDLE_SCHEMA = "colorhom-bundle/1"
 REPORT_SCHEMA = "colorhom-report/1"
@@ -321,7 +330,117 @@ def document_digest(doc) -> str:
 
 
 def dumps_document(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    """The text of a document: json.dumps(doc, sort_keys=True, indent=1)
+    and a newline."""
+    return _indented(doc) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the indented writer
+
+
+class _Unwritten(Exception):
+    """A value indented_json leaves to json.dumps."""
+
+
+_esc = json.encoder.encode_basestring_ascii
+_VIOLATION_KEYS = {"args", "defect", "note"}
+_INT = {int}
+
+
+def indented_json(obj) -> str:
+    """json.dumps(obj, sort_keys=True, indent=1), byte for byte.
+
+    Strings, ints, bools, None, lists, tuples and dicts with string keys
+    are written here; an object holding anything else (a float, another
+    key type) goes to json.dumps whole.  A list under the key
+    "violations" is written by template (``_violations``)."""
+    try:
+        return _text(obj, "")
+    except _Unwritten:
+        return json.dumps(obj, sort_keys=True, indent=1)
+
+
+def _block(items, pad, brackets="[]"):
+    """Written items inside brackets, one a line at pad plus one space."""
+    inner = pad + " "
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
+def _text(o, pad):
+    """o written at indentation pad (the indentation of its own line)."""
+    if isinstance(o, str):
+        return _esc(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    inner = pad + " "
+    if isinstance(o, (list, tuple)):
+        return _block([_text(v, inner) for v in o], pad) if o else "[]"
+    if not isinstance(o, dict) or not all(isinstance(k, str) for k in o):
+        raise _Unwritten
+    if not o:
+        return "{}"
+    return _block([
+        _esc(k) + ": " + (_violations(o[k], inner) if k == "violations" and type(o[k]) is list
+                          else _text(o[k], inner))
+        for k in sorted(o)
+    ], pad, "{}")
+
+
+def _violations(items, pad):
+    """A list of report violations, each {"args": [ints], "defect":
+    {coordinate: coefficient} or a string or null, "note": string} and
+    written by template; an item of any other shape goes to ``_text``.  A
+    coefficient is a list of ratio strings, or one of them over Q."""
+    if not items:
+        return "[]"
+    item = pad + " "
+    key = item + " "
+    value = key + " "
+    entry = value + " "
+    args_open, value_sep, args_close = f"[\n{value}", f",\n{value}", f"\n{key}]"
+    defect_open, defect_close = f"{{\n{value}", f"\n{key}}}"
+    coef_open, coef_sep, coef_close = f"[\n{entry}", f",\n{entry}", f"\n{value}]"
+    out = []
+    for v in items:
+        try:
+            if type(v) is not dict or v.keys() != _VIOLATION_KEYS:
+                raise TypeError
+            args, defect, note = v["args"], v["defect"], v["note"]
+            if type(args) is not list or (args and set(map(type, args)) != _INT):
+                raise TypeError
+            args = args_open + value_sep.join(map(str, args)) + args_close if args else "[]"
+            if type(defect) is dict and defect:
+                coefs = []
+                for c in sorted(defect):
+                    x = defect[c]
+                    if type(x) is list and x:
+                        x = coef_open + coef_sep.join(map(_esc, x)) + coef_close
+                    else:
+                        x = _esc(x)
+                    coefs.append(_esc(c) + ": " + x)
+                defect = defect_open + value_sep.join(coefs) + defect_close
+            else:
+                defect = "null" if defect is None else _esc(defect)
+            out.append(f'{{\n{key}"args": {args},\n{key}"defect": {defect},\n'
+                       f'{key}"note": {_esc(note)}\n{item}}}')
+        except TypeError:  # not of that shape: a string where it needs one fails
+            out.append(_text(v, item))
+    return _block(out, pad)
+
+
+# json's C encoder indents from CPython 3.13 on; before that, indent=1
+# runs json's pure-Python encoder, which indented_json outruns
+if sys.version_info >= (3, 13) and json.encoder.c_make_encoder is not None:
+    _indented = functools.partial(json.dumps, sort_keys=True, indent=1)
+else:
+    _indented = indented_json
 
 
 def loads_document(text) -> dict:
@@ -411,6 +530,11 @@ def full_check(bundle, jobs=1):
 def _defect_doc(defect):
     if defect is None:
         return None
+    if isinstance(defect, Defect):  # straight from the scan's integers
+        den = defect.den
+        if defect.space.field.cyclotomic_order == 1:
+            return {str(k): _ratio_texts(nums, den)[0] for k, nums in defect.coords}
+        return {str(k): _ratio_texts(nums, den) for k, nums in defect.coords}
     if isinstance(defect, Vector):
         return _vector_doc(defect)
     if isinstance(defect, Scalar):
@@ -442,7 +566,7 @@ def report_document(bundle_doc, results, flags) -> dict:
                 "violations": [
                     {
                         "args": list(v.args),
-                        "defect": _defect_doc(v.defect),
+                        "defect": _defect_doc(v.raw),
                         "note": v.note,
                     }
                     for v in leaf.violations

@@ -4,6 +4,10 @@ A report either passed, or carries the full sorted list of violating
 basis tuples together with their defect (LHS - RHS), so a near-miss is
 inspectable.  Composite checks nest subreports; consequence checks that
 refused to run record the failed precondition report instead.
+
+A violation found by a law scan keeps its defect as the scan's integers
+(``tables.Defect``): the machine report is written from them, and the
+exact Vector is built only when the library reads ``Violation.defect``.
 """
 
 from __future__ import annotations
@@ -11,14 +15,50 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
 class Violation:
     """One failing tuple: the basis indices (or generator indices), the
-    exact defect value (a Vector or Scalar, LHS - RHS), and a short note."""
+    exact defect value (a Vector or Scalar, LHS - RHS), and a short note.
 
-    args: tuple
-    defect: object = None
-    note: str = ""
+    A law scan passes its defect as a ``tables.Defect``, integers over one
+    denominator.  ``raw`` keeps the defect as it was passed, so a report
+    writes it from those integers; ``defect`` builds the Vector from a
+    ``Defect`` the first time it is read, and keeps it."""
+
+    __slots__ = ("args", "raw", "note", "_exact")
+
+    def __init__(self, args, defect=None, note=""):
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "raw", defect)
+        object.__setattr__(self, "note", note)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Violation is immutable")
+
+    @property
+    def defect(self):
+        try:
+            return self._exact
+        except AttributeError:
+            pass
+        from .tables import Defect  # tables builds on this module
+
+        exact = self.raw.vector() if isinstance(self.raw, Defect) else self.raw
+        object.__setattr__(self, "_exact", exact)
+        return exact
+
+    def _key(self):
+        return self.args, self.defect, self.note
+
+    def __eq__(self, other):
+        if not isinstance(other, Violation):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Violation(args={self.args!r}, defect={self.defect!r}, note={self.note!r})"
 
     def describe(self):
         loc = ",".join(str(a) for a in self.args)

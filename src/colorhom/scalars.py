@@ -293,11 +293,16 @@ class Scalar:
 
 def _ratio_text(n, den):
     """n/den in lowest terms as "p" or "p/q"; den > 0."""
+    return _ratio_texts((n,), den)[0]
+
+
+def _ratio_texts(nums, den):
+    """[_ratio_text(n, den) for n in nums]: each n/den reduced on its own."""
     try:
         if den == 1:
-            return str(n)
-        g = gcd(n, den)
-        return str(n // g) if g == den else f"{n // g}/{den // g}"
+            return [str(n) for n in nums]
+        return [str(n // g) if (g := gcd(n, den)) == den else f"{n // g}/{den // g}"
+                for n in nums]
     except ValueError:  # CPython's int-string limit
         raise too_many_digits("output coefficient") from None
 
@@ -332,4 +337,4 @@ def scalar_to_text(s: Scalar):
     """Document form: inverse of scalar_from_text."""
     if s.field.cyclotomic_order == 1:
         return _ratio_text(s.nums[0], s.den)
-    return [_ratio_text(n, s.den) for n in s.nums]
+    return _ratio_texts(s.nums, s.den)

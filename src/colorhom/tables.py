@@ -30,9 +30,13 @@ argument, the flattened vector contracted with it and the copies of that
 vector's table scaled by the eps factors (``Table.signed``, built once
 per table and sign shape), and it computes the term's denominator.
 ``law`` brings the terms over one common denominator and adds their
-integer products into one accumulator per basis tuple.  Only a nonzero
-accumulator is normalized, by the scalar kernel, into the exact Vector
-defect of a violation, so reports equal those of Scalar arithmetic.
+integer products into one accumulator per basis tuple.  A nonzero
+accumulator is kept, split into its nonzero coordinates and over that
+denominator, as a ``Defect``: a scan's violation holds it, and a report
+writes each coefficient straight from the integers.  Only
+``Defect.vector`` normalizes, by the scalar kernel, into the exact
+Vector, when ``materialize`` builds a map or the library reads
+``Violation.defect``; both equal what Scalar arithmetic gives.
 
 Field products happen only while compiling, through the scalar kernel's
 ``product`` and ``times_zeta``: an integer convolution folded back by the
@@ -334,14 +338,15 @@ def commutator(op, bichar):
 
 
 def law(space, *terms):
-    """defect(key) -> the Vector sum of the terms (``term``) at basis
-    tuple key, or None when it is zero.  A term is (sign, den, pick, rows,
-    at): pick(key) gives a flattened vector v, contracted with the images
-    u = rows[key[at]] (rows itself when at is None) into
+    """defect(key) -> the sum of the terms (``term``) at basis tuple key
+    as a ``Defect``, or None when it is zero.  A term is (sign, den, pick,
+    rows, at): pick(key) gives a flattened vector v, contracted with the
+    images u = rows[key[at]] (rows itself when at is None) into
     sign * sum_q v[q] * u[q] / den, or taken as it is when rows is None.
     The terms are brought over one common denominator and summed in one
     integer accumulator."""
-    n = space.dim * space.field.degree
+    d = space.field.degree
+    n, zero = space.dim * d, (0,) * d
     common = lcm(*(den for _, den, *_ in terms))
     plan = [(sign * (common // den), pick, rows, at) for sign, den, pick, rows, at in terms]
 
@@ -359,9 +364,32 @@ def law(space, *terms):
                     acc[p] += c * v
         if not any(acc):
             return None
-        return _vector(acc, common, space)
+        return Defect(space, [(k, nums) for k, nums in enumerate(zip(*[iter(acc)] * d))
+                              if nums != zero], common)
 
     return defect
+
+
+class Defect:
+    """The nonzero value of a law at one basis tuple, as the scan found
+    it: ``coords`` lists (coordinate, numerators) for each nonzero
+    coordinate of a vector of ``space``, in increasing order, over the
+    positive common denominator ``den``, none of them reduced.  A report
+    writes each coefficient straight from these integers; ``vector``
+    builds the exact Vector."""
+
+    __slots__ = ("space", "coords", "den")
+
+    def __init__(self, space, coords, den):
+        self.space, self.coords, self.den = space, coords, den
+
+    def vector(self) -> Vector:
+        """The exact Vector: each coordinate normalized by the scalar
+        kernel."""
+        field, den = self.space.field, self.den
+        return Vector(self.space, {
+            k: Scalar._make(field, *_K.normalize(nums, den)) for k, nums in self.coords
+        })
 
 
 def materialize(spaces, codomain, defect) -> MultilinearMap:
@@ -371,18 +399,5 @@ def materialize(spaces, codomain, defect) -> MultilinearMap:
     for key in product(*(range(sp.dim) for sp in spaces)):
         v = defect(key)
         if v is not None:
-            table[key] = v
+            table[key] = v.vector()
     return MultilinearMap(spaces, codomain, table)
-
-
-def _vector(acc, den, space):
-    """The exact Vector acc / den: each nonzero coordinate normalized by
-    the scalar kernel."""
-    field = space.field
-    d = field.degree
-    coeffs = {}
-    for k in range(space.dim):
-        nums = acc[k * d:(k + 1) * d]
-        if any(nums):
-            coeffs[k] = Scalar._make(field, *_K.normalize(nums, den))
-    return Vector(space, coeffs)

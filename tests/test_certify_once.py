@@ -181,3 +181,21 @@ def test_cli_tests_the_twist_for_multiplicativity_once(monkeypatch, argv):
     with contextlib.redirect_stdout(stdio.StringIO()):
         assert cli.main(argv) == 0
     assert len(tested) == 1
+
+
+def test_twist_along_own_twist_skips_evenness(monkeypatch):
+    """A bundle's own twist is even by construction, so twisting along it
+    checks evenness only where a bundle is built: the bracket and alpha
+    of the parsed input and of the twisted output."""
+    fixture_document("leibniz-L2")  # built once per session, outside the count
+    calls = []
+    check_evenness = linalg.check_evenness
+
+    def counting(obj):
+        calls.append(obj)
+        return check_evenness(obj)
+
+    patch_everywhere(monkeypatch, check_evenness, counting)
+    with contextlib.redirect_stdout(stdio.StringIO()):
+        assert cli.main(["twist", "fixtures/leibniz-L2", "-", "--power", "2"]) == 0
+    assert len(calls) == 4

@@ -339,6 +339,23 @@ def test_twist_refusal_with_oversized_defect_is_input_error(tmp_path, capsys):
     assert err.startswith("error: ") and "digits" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "machine"])
+def test_check_oversized_law_defect_is_input_error(tmp_path, capsys, fmt):
+    # every bracket constant of leibniz-L2-broken scaled to 10**2200: the
+    # Leibniz law's defect entries are products of two of them, about 4400
+    # digits, past the int-string limit, so no report can hold them
+    doc = fixture_document("leibniz-L2-broken")
+    big = str(10**2200)
+    for entry in doc["ops"]["bracket"]:
+        entry["out"] = {k: big for k in entry["out"]}
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "check", str(p), "--report", fmt)
+    assert code == 2
+    assert out == ""
+    assert "output coefficient" in err and "digits" in err
+
+
 # ---------------------------------------------------------------------------
 # examples
 

@@ -26,7 +26,7 @@ import pytest
 
 import genutil as G
 import vector_laws
-from colorhom import checkers, constructions
+from colorhom import checkers, constructions, io, tables
 from colorhom.bundles import (
     AkivisBundle,
     DialgebraBundle,
@@ -39,8 +39,8 @@ from colorhom.bundles import (
 )
 from colorhom.grading import Bicharacter, GradingGroup, TRIVIAL_GROUP
 from colorhom.linalg import EvenMap, GradedSpace, MultilinearMap, Vector, commutator_map
-from colorhom.report import CheckReport
-from colorhom.scalars import Scalar, cyclotomic_field
+from colorhom.report import CheckReport, Violation
+from colorhom.scalars import Scalar, cyclotomic_field, scalar_to_text
 
 # grading kind -> (group, degree pool, bicharacter matrix builder)
 GRADINGS = {
@@ -322,6 +322,61 @@ def test_every_law_fails_somewhere(scans):
             compare(b, reports)
             failing |= {report.identity_id for report in reports if report.violations}
     assert failing == ALL_LAWS
+
+
+# ---------------------------------------------------------------------------
+# a scan's violations keep the integer defect
+
+
+def exact(defect):
+    """The Vector of a Defect, each coefficient a Fraction."""
+    field = defect.space.field
+    return Vector(defect.space, {
+        k: Scalar(field, [Fraction(n, defect.den) for n in nums]) for k, nums in defect.coords})
+
+
+def denominators(text):
+    """The distinct denominators of one defect's report text."""
+    coefs = [c for coef in text.values() for c in (coef if isinstance(coef, list) else [coef])]
+    return {c.partition("/")[2] for c in coefs} - {""}
+
+
+@pytest.mark.parametrize("N,grading", [(1, "free2"), (4, "z2xz2"), (12, "z4xz4")])
+def test_defect_text_from_integers(scans, N, grading):
+    """On random failing laws, the report text written from a violation's
+    integers equals scalar_to_text of its exact Vector; the Vector built
+    on demand equals one built from Fractions, and is kept; describe()
+    reads as it does with Vectors built eagerly."""
+    rng = random.Random(f"text-{N}-{grading}")
+    mixed = 0
+    for kind, b in random_bundles(rng, N, grading, DIM[grading]):
+        for report in scans(b):
+            eager = []
+            for v in report.violations:
+                assert isinstance(v.raw, tables.Defect)
+                want = exact(v.raw)
+                text = io._defect_doc(v.raw)
+                assert text == {str(i): scalar_to_text(c) for i, c in want.items()}
+                assert v.defect == want and v.defect is v.defect
+                eager.append(Violation(v.args, want, v.note))
+                mixed += len(denominators(text)) > 1
+            again = CheckReport(report.identity_id, tuple(eager), note=report.note)
+            assert again.describe(limit=len(eager)) == report.describe(limit=len(eager))
+    assert mixed  # coefficients of one defect reduce to different denominators
+
+
+@pytest.mark.parametrize("N,coords,text", [
+    (1, [(0, (3,)), (2, (-4,))], {"0": "1/2", "2": "-2/3"}),
+    (4, [(0, (3, 4)), (2, (6, -2))], {"0": ["1/2", "2/3"], "2": ["1", "-1/3"]}),
+])
+def test_defect_text_reduces_each_coefficient(N, coords, text):
+    """Over den 6, each coefficient reduces on its own; over Q a
+    coefficient is one string, not a list."""
+    F = cyclotomic_field(N)
+    space = GradedSpace.build(F, TRIVIAL_GROUP, [(f"e{i}", ()) for i in range(3)])
+    defect = tables.Defect(space, coords, 6)
+    assert io._defect_doc(defect) == text
+    assert io._defect_doc(defect.vector()) == text
 
 
 # ---------------------------------------------------------------------------
