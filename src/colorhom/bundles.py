@@ -194,7 +194,7 @@ def associator_law(product: MultilinearMap, twist: EvenMap, sign=1):
     """sign * (product(product(x,y), t(z)) - product(t(x), product(y,z))) on
     basis triples: the Hom-associator, or with sign -1 the defect of
     Hom-associativity."""
-    P, tw = tables.table(product), tables.twist(twist)
+    P, tw = tables.table(product), tables.table(twist)
     return tables.law(
         product.codomain,
         tables.term(sign, P, (P, 0, 1), (tw, 2)),

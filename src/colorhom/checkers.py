@@ -99,7 +99,7 @@ def check_skew_symmetry(b) -> CheckReport:
 
 def _bracket_cycle(b, E):
     """The terms of sum_cyc eps(z,x) [[x,y], t(z)]."""
-    B, tw = tables.table(b.bracket), tables.twist(b.twist)
+    B, tw = tables.table(b.bracket), tables.table(b.twist)
     return [term(1, B, (B, x, y), (tw, z), eps=[(E, z, x)]) for x, y, z in _CYCLIC]
 
 
@@ -248,7 +248,7 @@ def check_color_leibniz(b) -> CheckReport:
 
         [t(x), [y,z]] == [[x,y], t(z)] + eps(x,y) [t(y), [x,z]]
     """
-    B, tw = tables.table(b.bracket), tables.twist(b.twist)
+    B, tw = tables.table(b.bracket), tables.table(b.twist)
     defect = law(
         b.space,
         term(1, B, (tw, 0), (B, 1, 2)),
@@ -272,7 +272,7 @@ def check_leibniz_consequences(b: LeibnizBundle) -> CheckReport:
     if not pre.passed:
         return CheckReport("leibniz-consequences", precondition_failure=pre)
     space = b.space
-    B, tw, E = tables.table(b.bracket), tables.twist(b.twist), _signs(b)
+    B, tw, E = tables.table(b.bracket), tables.table(b.twist), _signs(b)
     symmetrized = law(
         space,
         term(1, B, (B, 0, 1), (tw, 2)),
@@ -304,7 +304,7 @@ def check_nhlp(b: NHLPBundle) -> CheckReport:
     space = b.space
     leibniz = check_color_leibniz(b)
     assoc = check_hom_associativity(b.product, b.twist)
-    B, P, tw = tables.table(b.bracket), tables.table(b.product), tables.twist(b.twist)
+    B, P, tw = tables.table(b.bracket), tables.table(b.product), tables.table(b.twist)
     compat = law(
         space,
         term(1, B, (tw, 0), (P, 1, 2)),
@@ -329,7 +329,7 @@ def check_dialgebra(b: DialgebraBundle) -> CheckReport:
     """
     space = b.space
     L, R = tables.table(b.prod_left), tables.table(b.prod_right)
-    tw = tables.twist(b.twist)
+    tw = tables.table(b.twist)
 
     def xy_z(O, I):  # O(I(x,y), t(z))
         return O, (I, 0, 1), (tw, 2)
@@ -362,9 +362,9 @@ def check_module(mb: ModuleBundle) -> CheckReport:
         return CheckReport("module", precondition_failure=pre)
     alg = mb.algebra
     A, M = alg.space, mb.module_space
-    B, tA = tables.table(alg.bracket), tables.twist(alg.twist)
+    B, tA = tables.table(alg.bracket), tables.table(alg.twist)
     aL, aR = tables.table(mb.act_left), tables.table(mb.act_right)
-    tM = tables.twist(mb.module_twist)
+    tM = tables.table(mb.module_twist)
     E, E_am, E_ma = _signs(alg), _signs(alg, A, M), _signs(alg, M, A)
 
     twist_left = law(  # tM(x.m) == t(x).t(m)

@@ -142,9 +142,7 @@ def cmd_twist(args):
             raise InputError("module documents are twisted with --module")
         if args.map != "alpha":
             raise InputError(f"--map {args.map!r} does not apply to module documents")
-        out = bundle
-        for _ in range(args.power):
-            out = twist_module(out)
+        out = twist_module(bundle, args.power) if args.power else bundle
         return _write_certified(args.output, out)
     if args.module:
         raise InputError(f"--module applies to module documents, not {bundle.kind}")

@@ -195,21 +195,21 @@ def leibniz_from_dialgebra(b: DialgebraBundle) -> NHLPBundle:
     return out
 
 
-def twist_module(mb: ModuleBundle) -> ModuleBundle:
-    """Compose both actions with the square of the algebra twist map:
-    new left action (x, m) -> old(t^2 x, m), new right action (m, x) ->
-    old(m, t^2 x).  Needs a multiplicative algebra twist and a certified
-    input; the output is re-certified."""
+def twist_module(mb: ModuleBundle, n: int = 1) -> ModuleBundle:
+    """n-th twist along the algebra twist map t: new left action
+    (x, m) -> old(t^(2n) x, m), new right action (m, x) -> old(m, t^(2n) x).
+    Needs a multiplicative algebra twist and a certified input; the output
+    is re-certified.  n == 0 returns the input unchanged."""
+    if not isinstance(n, int) or n < 0:
+        raise InputError("twist power must be a non-negative integer")
     alg = mb.algebra
-    if not is_multiplicative(alg):
-        _require(check_endomorphism(alg.twist, alg.ops()),
-                 "twist_module algebra twist must be multiplicative")
+    _even_endo(alg.twist, alg, "twist_module algebra twist must be multiplicative")
     _require(check_module(mb), "twist_module input")
-    t2 = tables.twist(alg.twist.compose(alg.twist))
+    t2n = tables.table(alg.twist.power(2 * n))
     A, M = alg.space, mb.module_space
     aL, aR = tables.table(mb.act_left), tables.table(mb.act_right)
-    left = tables.materialize((A, M), M, tables.law(M, tables.term(1, aL, (t2, 0), 1)))
-    right = tables.materialize((M, A), M, tables.law(M, tables.term(1, aR, 0, (t2, 1))))
+    left = tables.materialize((A, M), M, tables.law(M, tables.term(1, aL, (t2n, 0), 1)))
+    right = tables.materialize((M, A), M, tables.law(M, tables.term(1, aR, 0, (t2n, 1))))
     out = ModuleBundle(alg, M, left, right, mb.module_twist)
     if out == mb:  # a fixed point: keep the input and the reports stored on it
         out = mb

@@ -199,7 +199,7 @@ class EvenMap:
             raise InputError(f"matrix must be {space.dim}x{space.dim}")
         self.space = space
         self.rows = rows
-        self._compiled = None  # integer tables, built by colorhom.tables.twist
+        self._compiled = None  # the unary integer table, built by colorhom.tables.table
 
     @classmethod
     def identity(cls, space):

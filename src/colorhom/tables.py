@@ -8,9 +8,10 @@ holding the zeta**t coefficient of coordinate k.  A K-multilinear map is
 Q-multilinear, so every law becomes a sum of integer products:
 
 * ``Table``: an operation, with the flattened value of every basis
-  tuple as (position, numerator) pairs over the table's denominator;
-* ``Twist``: a twist map, with one flattened column zeta**t * alpha(e_j)
-  per position q = j*d + t;
+  tuple as (position, numerator) pairs over the table's denominator.  A
+  twist map alpha compiles to a unary Table, entry j the flattened
+  alpha(e_j); ``Table.columns`` gives its column zeta**t * alpha(e_j)
+  for each position q = j*d + t;
 * ``Table.images``: the twisted images L[x][q] = O(alpha e_x, zeta**t e_b)
   and R[z][q] = O(zeta**t e_a, alpha e_z), so that, for example,
   O(alpha e_x, I(e_y, e_z)) = sum_q I[y][z][q] * L[x][q];
@@ -24,7 +25,8 @@ writes it.  On basis tuples k = (x, y, z),
 
 is -eps(x,y) [t(y), [x,z]]: an argument is a key position p (e_k[p]),
 (twist, p) (t e_k[p]) or (inner, p, q) (inner(e_k[p], e_k[q])), and the
-outer map is an operation, or a twist applied to one inner product.
+outer map is an operation, or a twist applied to one inner product: a
+twisted argument is the unary twist table read at key position p.
 Only ``term`` knows the layout: it picks the image table of the twisted
 argument, the flattened vector contracted with it and the copies of that
 vector's table scaled by the eps factors (``Table.signed``, built once
@@ -53,7 +55,7 @@ from itertools import product
 from math import lcm, prod
 
 from ._backend import kernel as _K
-from .linalg import MultilinearMap, Vector
+from .linalg import EvenMap, MultilinearMap, Vector
 from .scalars import Scalar
 
 
@@ -92,6 +94,17 @@ def _map_grid(grid, depth, fn):
     return [_map_grid(g, depth - 1, fn) for g in grid]
 
 
+def _rotations(coords, d, red):
+    """{coordinate: numerator tuple} v -> the flattened zeta**t * v for
+    t = 0, .., d-1."""
+    out = []
+    for t in range(d):
+        if t:
+            coords = {k: _K.times_zeta(c, red) for k, c in coords.items()}
+        out.append(_flatten(coords, d))
+    return out
+
+
 def _accumulate(coords, k, value):
     old = coords.get(k)
     coords[k] = value if old is None else tuple(u + v for u, v in zip(old, value))
@@ -115,12 +128,13 @@ class Table:
         self.entries = entries
         self._memo = {}
 
-    def images(self, twist: "Twist", arg):
+    def images(self, twist: "Table", arg):
         """Twisted images of a binary operation as a Table whose rows are
         indexed by the basis of the twisted argument ``arg`` (0 or 1) and
         whose columns are the flattened positions of the other argument:
         row x, column q = b*d + t holds O(twist e_x, zeta**t e_b) for
-        arg 0 and O(zeta**t e_b, twist e_x) for arg 1."""
+        arg 0 and O(zeta**t e_b, twist e_x) for arg 1, twist a unary
+        table."""
         key = ("images", arg, id(twist))
         hit = self._memo.get(key)
         if hit is not None:
@@ -131,21 +145,31 @@ class Table:
         other = self.dims[1 - arg]
         rows = []
         for x in range(self.dims[arg]):
+            column = _unflatten(twist.entries[x], d)
             row = []
             for b in range(other):
                 value = {}
-                for i, a in twist.columns[x]:
+                for i, a in column:
                     entry = coords[i][b] if arg == 0 else coords[b][i]
                     for k, o in entry:
                         _accumulate(value, k, _K.product(a, o, red))
-                for t in range(d):
-                    if t:
-                        value = {k: _K.times_zeta(c, red) for k, c in value.items()}
-                    row.append(_flatten(value, d))
+                row.extend(_rotations(value, d, red))
             rows.append(row)
         out = Table(field, (self.dims[arg], other * d), self.den * twist.den, rows)
         self._memo[key] = (twist, out)
         return out
+
+    def columns(self):
+        """The images of a unary table T at the flattened positions:
+        column q = j*d + t is the flattened zeta**t * T(e_j), so that T
+        applied to a flattened vector v is sum_q v[q] * columns[q]."""
+        hit = self._memo.get("columns")
+        if hit is None:
+            d, red = self.field.degree, self.field.reduction
+            hit = self._memo["columns"] = [
+                v for entry in self.entries
+                for v in _rotations(dict(_unflatten(entry, d)), d, red)]
+        return hit
 
     def scaled(self, nums, den):
         """This table times the field scalar nums / den."""
@@ -199,55 +223,29 @@ class Table:
         return hit
 
 
-class Twist:
-    """A compiled even map over ``den``: ``columns[j]`` lists the nonzero
-    (row, numerator tuple) pairs of column j, and ``flat[j*d + t]`` is the
-    flattened column zeta**t * alpha(e_j), so that alpha applied to a
-    flattened vector v is sum_q v[q] * flat[q]."""
-
-    __slots__ = ("den", "columns", "flat")
-
-    def __init__(self, emap):
-        space = emap.space
-        d, n, red = space.field.degree, space.dim, space.field.reduction
-        rows = emap.rows
-        self.den = lcm(1, *(s.den for row in rows for s in row))
-        self.columns = [
-            [(i, _numerators(rows[i][j], self.den)) for i in range(n) if rows[i][j]]
-            for j in range(n)
-        ]
-        self.flat = []
-        for col in self.columns:
-            value = dict(col)
-            for t in range(d):
-                if t:
-                    value = {k: _K.times_zeta(c, red) for k, c in value.items()}
-                self.flat.append(_flatten(value, d))
-
-
 def table(m) -> Table:
-    """The compiled form of MultilinearMap m, built at its first use."""
+    """The compiled form of m, built at its first use: a MultilinearMap,
+    or an EvenMap alpha as the unary table whose entry j is alpha(e_j)."""
     if m._compiled is None:
-        field = m.codomain.field
+        if isinstance(m, EvenMap):
+            spaces, field, rows, n = (m.space,), m.space.field, m.rows, m.space.dim
+            values = {(j,): {i: rows[i][j] for i in range(n) if rows[i][j]}
+                      for j in range(n)}
+        else:
+            spaces, field = m.spaces, m.codomain.field
+            values = {key: v.coeffs for key, v in m.table.items()}
         d = field.degree
-        den = lcm(1, *(s.den for v in m.table.values() for s in v.coeffs.values()))
+        den = lcm(1, *(s.den for v in values.values() for s in v.values()))
 
         def leaf(key):
-            v = m.table.get(key)
-            if v is None:
+            v = values.get(key)
+            if not v:
                 return ()
-            return _flatten({k: _numerators(s, den) for k, s in v.coeffs.items()}, d)
+            return _flatten({k: _numerators(s, den) for k, s in v.items()}, d)
 
-        m._compiled = Table(field, [sp.dim for sp in m.spaces], den,
-                            _grid([sp.dim for sp in m.spaces], leaf))
+        dims = [sp.dim for sp in spaces]
+        m._compiled = Table(field, dims, den, _grid(dims, leaf))
     return m._compiled
-
-
-def twist(emap) -> Twist:
-    """The compiled form of EvenMap emap, built at its first use."""
-    if emap._compiled is None:
-        emap._compiled = Twist(emap)
-    return emap._compiled
 
 
 class Signs:
@@ -291,19 +289,21 @@ _PICK = (
 def term(sign, outer, *args, eps=()):
     """The law term sign * eps(..) * .. * outer(*args) on basis tuples k.
 
-    ``outer`` is a Table, or a Twist applied to one inner product.  An
-    argument is a key position p (e_k[p]), (twist, p) (twist e_k[p]) or
-    (inner, p, q) (inner(e_k[p], e_k[q])); a binary outer with a twisted
-    argument takes one other argument, and an outer of any arity takes
-    key positions only.  ``eps`` lists factors (signs, p, q) =
-    eps(deg k[p], deg k[q]) with signs from ``signs``.  For example
+    ``outer`` is a Table; a unary one, such as a compiled twist, is
+    applied to one inner product.  An argument is a key position p
+    (e_k[p]), (twist, p) (twist e_k[p]) or (inner, p, q)
+    (inner(e_k[p], e_k[q])), twist a unary and inner a binary Table; a
+    binary outer with a twisted argument takes one other argument, and
+    an outer of any other arity takes key positions only.  ``eps`` lists
+    factors (signs, p, q) = eps(deg k[p], deg k[q]) with signs from
+    ``signs``.  For example
     term(-1, B, (t, 1), (B, 0, 2), eps=[(E, 0, 1)]) is
     -eps(x,y) [t(y), [x,z]]."""
-    if isinstance(outer, Twist):  # the images of outer(v) are its columns
-        (source,), rows, at, rows_den = args, outer.flat, None, outer.den
+    if len(outer.dims) == 1:  # the images of outer(v) are its columns
+        (source,), rows, at, rows_den = args, outer.columns(), None, outer.den
     else:
         for i, arg in enumerate(args):
-            if isinstance(arg, tuple) and isinstance(arg[0], Twist):
+            if isinstance(arg, tuple) and len(arg) == 2:
                 # the first twisted argument indexes the image rows
                 tw, at = arg
                 images = outer.images(tw, i)
@@ -314,10 +314,6 @@ def term(sign, outer, *args, eps=()):
     if isinstance(source, int):  # the basis vector e_k[p] of outer's argument 1 - i
         n, d = outer.dims[1 - i], outer.field.degree
         source = (Table(outer.field, (n,), 1, [((k * d, 1),) for k in range(n)]), source)
-    elif isinstance(source[0], Twist):  # the column twist e_k[p]
-        tw, p = source
-        n, d = len(tw.columns), outer.field.degree
-        source = (Table(outer.field, (n,), tw.den, tw.flat[::d]), p)
     table, positions = source[0], source[1:]
     grid, eps_den = table.entries, 1
     if eps:

@@ -1,12 +1,17 @@
-"""End-to-end command behavior through cli.main, without subprocesses."""
+"""End-to-end command behavior through cli.main; one test starts the
+CLI as a process and compares it with the in-process runs."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from colorhom import cli, io
 from colorhom.checkers import check_color_leibniz
+from colorhom.constructions import twist_module
 from colorhom.fixtures import fixture, fixture_document, fixture_names
 
 
@@ -297,6 +302,32 @@ def test_twist_module_refuses_other_maps(capsys):
     assert "--map 'nosuch'" in err
 
 
+def test_twist_module_power_is_one_twist(monkeypatch, capsys):
+    """--power N twists a module once, along t^(2N), so a huge power
+    costs what power 1 costs; module-M's algebra twist is the identity,
+    so every power writes the same bytes."""
+    calls = []
+
+    def counting(mb, n=1):
+        calls.append(n)
+        return twist_module(mb, n)
+
+    monkeypatch.setattr(cli, "twist_module", counting)
+    code, once, _ = run(capsys, "twist", "fixtures/module-M", "-", "--module")
+    assert code == 0 and calls == [1]
+    code, out, _ = run(capsys, "twist", "fixtures/module-M", "-", "--module",
+                       "--power", "50")
+    assert code == 0 and calls == [1, 50]
+    assert out == once
+    code, out, _ = run(capsys, "twist", "fixtures/module-M", "-", "--module",
+                       "--power", "1000000000")
+    assert code == 0 and out == once
+    code, out, _ = run(capsys, "twist", "fixtures/module-M", "-", "--module",
+                       "--power", "0")
+    assert code == 0 and len(calls) == 3
+    assert json.loads(out)["ops"] == fixture_document("module-M")["ops"]
+
+
 def test_twist_non_endomorphism_refused(tmp_path, capsys):
     doc = fixture_document("akivis-A")
     p = tmp_path / "a.json"
@@ -400,6 +431,26 @@ def test_output_files_end_with_newline(tmp_path, capsys):
     out_path = tmp_path / "t.json"
     run(capsys, "construct", "trivext", "fixtures/leibniz-L2", str(out_path))
     assert out_path.read_text().endswith("\n")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["check", "fixtures/leibniz-L2", "--report", "machine"], 0),
+    (["check", "fixtures/leibniz-L2-broken", "--report", "machine"], 1),
+    (["twist", "fixtures/module-M", "-", "--module", "--power", "1000000000"], 0),
+    (["check", "no/such/thing"], 2),
+])
+def test_module_entry_point_matches_main(capsys, argv, expected):
+    """python -m colorhom.cli writes the bytes and exits with the code
+    of an in-process cli.main run."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "colorhom.cli", *argv],
+                          capture_output=True, env=env, timeout=120)
+    code, out, _ = run(capsys, *argv)
+    assert code == expected
+    assert proc.returncode == code
+    assert proc.stdout == out.encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

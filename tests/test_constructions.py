@@ -311,6 +311,12 @@ def test_twist_module_nontrivial_diagonal(L2):
     assert table_of(out.act_left) == {(1, 1): {0: "4"}}
     assert table_of(out.act_right) == {(1, 1): {0: "4"}}
     assert check_module(out).passed
+    # power n composes along t^(2n) at once: three single twists
+    assert twist_module(mb, 3) == twist_module(twist_module(out))
+    assert table_of(twist_module(mb, 3).act_left) == {(1, 1): {0: "64"}}
+    assert twist_module(mb, 0) is mb
+    with pytest.raises(InputError):
+        twist_module(mb, -1)
 
 
 def test_twist_module_requires_multiplicative_algebra(L2):

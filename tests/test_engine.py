@@ -420,14 +420,15 @@ def test_derived_maps_match_vector_builds(monkeypatch, N, grading):
                           degrees(rng, GRADINGS[grading][1], dim + 1, "m"))
     mb = ModuleBundle(alg, M, random_table(rng, (space, M), M),
                       random_table(rng, (M, space), M), random_twist(rng, M))
-    out = constructions.twist_module(mb)
-    t2 = alg.twist.compose(alg.twist)
-    left = build((space, M), M, lambda x, n: mb.act_left(
-        t2.image_of_basis(x), Vector.basis(M, n)))
-    right = build((M, space), M, lambda n, x: mb.act_right(
-        Vector.basis(M, n), t2.image_of_basis(x)))
-    assert left.table and out.act_left == left
-    assert right.table and out.act_right == right
+    for power in (1, 3):  # along t^2 and t^6
+        out = constructions.twist_module(mb, power)
+        t2n = alg.twist.power(2 * power)
+        left = build((space, M), M, lambda x, n: mb.act_left(
+            t2n.image_of_basis(x), Vector.basis(M, n)))
+        right = build((M, space), M, lambda n, x: mb.act_right(
+            Vector.basis(M, n), t2n.image_of_basis(x)))
+        assert left.table and out.act_left == left
+        assert right.table and out.act_right == right
 
 
 # ---------------------------------------------------------------------------
