@@ -4,19 +4,18 @@ Each bundle kind matches one family of structures the checkers and
 constructions operate on.  Construction validates shape, grading
 compatibility and evenness eagerly, so a bundle in hand is always
 well-formed (the identities themselves are NOT assumed; that is what the
-checkers are for).  Bundles are frozen: the checkers and
-``is_multiplicative`` store their results on the bundle (``_once_per_bundle``).
+checkers are for).  Bundles are frozen records: the checkers and
+``is_multiplicative`` store their results in a bundle's ``_reports`` slot.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from . import tables
 from .errors import InputError
-from .grading import Bicharacter
-from .linalg import EvenMap, GradedSpace, MultilinearMap, check_evenness, is_endomorphism
+from .linalg import EvenMap, MultilinearMap, check_evenness, is_endomorphism
+from .record import Record
 
 
 def _require_even(name, m):
@@ -31,7 +30,9 @@ def _once_per_bundle(check):
 
     @functools.wraps(check)
     def memo(bundle):
-        reports = vars(bundle).setdefault("_reports", {})
+        if not hasattr(bundle, "_reports"):
+            object.__setattr__(bundle, "_reports", {})
+        reports = bundle._reports
         if check not in reports:
             reports[check] = check(bundle)
         return reports[check]
@@ -39,7 +40,7 @@ def _once_per_bundle(check):
     return memo
 
 
-class _Bundle:
+class _Bundle(Record):
     """Every kind declares its maps once.  ``OPS`` lists each operation as
     (document name, attribute, argument spaces) in field order, where
     ``S`` is the bundle's own space and ``A`` the acting algebra's; every
@@ -47,6 +48,7 @@ class _Bundle:
     twist map on S.  ``EXTRA_MAPS`` says whether a document may carry
     further maps (candidate twisting maps such as beta)."""
 
+    __slots__ = ("_reports",)
     EXTRA_MAPS = True
 
     def ops(self):
@@ -72,6 +74,7 @@ class _Bundle:
 class _AlgebraBundle(_Bundle):
     """The five algebra kinds: a space and a bicharacter, then the maps."""
 
+    __slots__ = ()
     TWIST = ("alpha", "twist")
 
     def __post_init__(self):
@@ -80,72 +83,44 @@ class _AlgebraBundle(_Bundle):
         self._check_maps({"S": self.space})
 
 
-@dataclass(frozen=True)
 class NonAssocBundle(_AlgebraBundle):
     """Graded algebra with one bilinear product and a twist map; no
     identity is assumed (the raw input of the Akivis construction)."""
 
-    space: GradedSpace
-    bichar: Bicharacter
-    product: MultilinearMap
-    twist: EvenMap
-
+    __slots__ = FIELDS = ("space", "bichar", "product", "twist")
     kind = "nonassociative"
     OPS = (("product", "product", "SS"),)
 
 
-@dataclass(frozen=True)
 class AkivisBundle(_AlgebraBundle):
     """Binary bracket plus ternary companion with a twist map."""
 
-    space: GradedSpace
-    bichar: Bicharacter
-    bracket: MultilinearMap
-    ternary: MultilinearMap
-    twist: EvenMap
-
+    __slots__ = FIELDS = ("space", "bichar", "bracket", "ternary", "twist")
     kind = "akivis"
     OPS = (("bracket", "bracket", "SS"), ("ternary", "ternary", "SSS"))
 
 
-@dataclass(frozen=True)
 class LeibnizBundle(_AlgebraBundle):
     """One bracket and a twist map (left Leibniz law is checked, not assumed)."""
 
-    space: GradedSpace
-    bichar: Bicharacter
-    bracket: MultilinearMap
-    twist: EvenMap
-
+    __slots__ = FIELDS = ("space", "bichar", "bracket", "twist")
     kind = "leibniz"
     OPS = (("bracket", "bracket", "SS"),)
 
 
-@dataclass(frozen=True)
 class NHLPBundle(_AlgebraBundle):
     """Bracket and associative-type product sharing one twist map."""
 
-    space: GradedSpace
-    bichar: Bicharacter
-    product: MultilinearMap
-    bracket: MultilinearMap
-    twist: EvenMap
-
+    __slots__ = FIELDS = ("space", "bichar", "product", "bracket", "twist")
     kind = "nhlp"
     OPS = (("product", "product", "SS"), ("bracket", "bracket", "SS"))
 
 
-@dataclass(frozen=True)
 class DialgebraBundle(_AlgebraBundle):
     """Two binary products with a twist map; ungraded by definition, so a
     graded basis is refused outright."""
 
-    space: GradedSpace
-    bichar: Bicharacter
-    prod_left: MultilinearMap
-    prod_right: MultilinearMap
-    twist: EvenMap
-
+    __slots__ = FIELDS = ("space", "bichar", "prod_left", "prod_right", "twist")
     kind = "dialgebra"
     OPS = (("left", "prod_left", "SS"), ("right", "prod_right", "SS"))
 
@@ -155,7 +130,6 @@ class DialgebraBundle(_AlgebraBundle):
         super().__post_init__()
 
 
-@dataclass(frozen=True)
 class ModuleBundle(_Bundle):
     """Two-sided module over a Leibniz bundle.
 
@@ -164,12 +138,7 @@ class ModuleBundle(_Bundle):
     live in the same grading group and the sign bicharacter is shared.
     """
 
-    algebra: LeibnizBundle
-    module_space: GradedSpace
-    act_left: MultilinearMap
-    act_right: MultilinearMap
-    module_twist: EvenMap
-
+    __slots__ = FIELDS = ("algebra", "module_space", "act_left", "act_right", "module_twist")
     kind = "module"
     OPS = (("action_left", "act_left", "AS"), ("action_right", "act_right", "SA"))
     TWIST = ("alphaM", "module_twist")

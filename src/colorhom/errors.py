@@ -12,6 +12,10 @@ class InputError(ColorHomError):
     invalid group data, arity errors).  CLI maps this to exit code 2."""
 
 
+class FrozenError(ColorHomError, AttributeError):
+    """A write to a field of a frozen record (``colorhom.record``)."""
+
+
 class ConstructionError(ColorHomError):
     """A construction refused to emit an output bundle.
 

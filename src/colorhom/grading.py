@@ -9,18 +9,16 @@ and torsion conditions need checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import InputError
+from .record import Record
 from .report import CheckReport, Violation
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class GradingGroup:
-    free_rank: int
-    torsion_orders: tuple
+class GradingGroup(Record):
+    __slots__ = FIELDS = ("free_rank", "torsion_orders")
 
     def __post_init__(self):
         if self.free_rank < 0:
@@ -65,12 +63,10 @@ class GradingGroup:
 TRIVIAL_GROUP = GradingGroup(0, ())
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(Record):
     """Canonical coordinate tuple in its group; supports + and -."""
 
-    group: GradingGroup
-    coords: tuple
+    __slots__ = FIELDS = ("group", "coords")
 
     def _check(self, other):
         if self.group != other.group:

@@ -26,7 +26,6 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass, field as dataclass_field
 
 from . import __version__
 from .bundles import BUNDLE_TYPES, is_multiplicative, is_sign_commutative
@@ -47,6 +46,7 @@ from .checkers import (
 from .errors import InputError, too_many_digits
 from .grading import Bicharacter, GradingGroup
 from .linalg import EvenMap, GradedSpace, MultilinearMap, Vector
+from .record import Record
 from .report import CheckReport
 from .scalars import Scalar, _ratio_texts, cyclotomic_field, scalar_from_text, scalar_to_text
 from .tables import Defect
@@ -58,13 +58,15 @@ KINDS = tuple(BUNDLE_TYPES)
 _INDEX_RE = re.compile(r"0|[1-9][0-9]*", re.ASCII)
 
 
-@dataclass
-class ParsedDocument:
+class ParsedDocument(Record):
     """A parsed bundle plus any extra named maps riding along (candidate
-    twisting maps such as 'beta')."""
+    twisting maps such as 'beta').  Mutable, so it has no hash."""
 
-    bundle: object
-    extra_maps: dict = dataclass_field(default_factory=dict)
+    __slots__ = FIELDS = ("bundle", "extra_maps")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, bundle, extra_maps=None):
+        super().__init__(bundle, {} if extra_maps is None else extra_maps)
 
 
 def _fail(path, message):

@@ -9,22 +9,19 @@ all twist maps) are dense matrices with an evenness check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import InputError
-from .grading import GradingGroup, GroupElement
+from .grading import GroupElement
+from .record import Record
 from .report import CheckReport, Violation, sorted_violations
-from .scalars import FieldDescriptor, Scalar
+from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class GradedSpace:
+class GradedSpace(Record):
     """Finite-dimensional space with a homogeneous named basis."""
 
-    field: FieldDescriptor
-    group: GradingGroup
-    basis: tuple  # tuple of (name, GroupElement)
+    __slots__ = FIELDS = ("field", "group", "basis")  # basis: tuple of (name, GroupElement)
 
     def __post_init__(self):
         names = [n for n, _ in self.basis]

@@ -12,7 +12,7 @@ exact Vector is built only when the library reads ``Violation.defect``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import Record
 
 
 class Violation:
@@ -70,14 +70,15 @@ class Violation:
         return text
 
 
-@dataclass(frozen=True, eq=False)
-class CheckReport:
-    identity_id: str
-    violations: tuple = ()
-    subreports: tuple = ()
-    flags: dict = field(default_factory=dict)
-    precondition_failure: "CheckReport | None" = None
-    note: str = ""
+class CheckReport(Record):
+    __slots__ = FIELDS = ("identity_id", "violations", "subreports", "flags",
+                          "precondition_failure", "note")
+    __eq__, __hash__ = object.__eq__, object.__hash__  # compared by identity
+
+    def __init__(self, identity_id, violations=(), subreports=(), flags=None,
+                 precondition_failure=None, note=""):
+        flags = {} if flags is None else flags
+        super().__init__(identity_id, violations, subreports, flags, precondition_failure, note)
 
     @property
     def passed(self) -> bool:

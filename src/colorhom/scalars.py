@@ -10,19 +10,19 @@ A scalar is stored as integer numerators over one denominator, and all
 its arithmetic, the inverse included, runs on the integer kernel
 (``colorhom._core_py``).  ``Fraction`` appears only where the library API
 takes or returns one: ``Scalar(field, coefficients)``, ``Scalar.rational``,
-mixed arithmetic with a Fraction, and ``Scalar.coefficients``.
+mixed arithmetic with a Fraction, and ``Scalar.coefficients``, which alone imports it.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from fractions import Fraction
+import sys
 from functools import lru_cache
 from math import gcd, lcm
 
 from ._backend import kernel as _K
 from .errors import InputError, too_many_digits
+from .record import Record
 
 _FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$", re.ASCII)
 
@@ -59,16 +59,12 @@ def cyclotomic_polynomial(order):
     return tuple(num)
 
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(Record):
     """Carrier of everything per-field: the order N, the minimal polynomial
     of the root, its degree phi(N), and the integer reduction rows used by
     the multiplication kernel (row t reduces x**(degree+t))."""
 
-    cyclotomic_order: int
-    minimal_polynomial: tuple
-    degree: int
-    reduction: tuple
+    __slots__ = FIELDS = ("cyclotomic_order", "minimal_polynomial", "degree", "reduction")
 
     def __repr__(self):
         return f"FieldDescriptor(Q(zeta_{self.cyclotomic_order}))"
@@ -106,7 +102,8 @@ def _coerce(field, value):
         return value
     if isinstance(value, int):
         return Scalar._make(field, (value,) + (0,) * (field.degree - 1), 1)
-    if isinstance(value, Fraction):
+    fractions = sys.modules.get("fractions")  # a Fraction needs fractions imported
+    if fractions is not None and isinstance(value, fractions.Fraction):
         return Scalar.rational(field, value)
     return None
 
@@ -168,6 +165,7 @@ class Scalar:
     def coefficients(self):
         """Coefficients of zeta**0 .. zeta**(phi(N)-1) as Fractions in
         lowest terms with positive denominators."""
+        from fractions import Fraction
         return tuple(Fraction(n, self.den) for n in self.nums)
 
     def is_zero(self):
@@ -180,10 +178,10 @@ class Scalar:
         return any(self.nums)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _coerce(self.field, other)
         if not isinstance(other, Scalar):
-            return NotImplemented
+            other = _coerce(self.field, other)
+            if other is None:
+                return NotImplemented
         return (
             self.field == other.field
             and self.nums == other.nums

@@ -2,7 +2,6 @@
 frozen so that a stored report cannot go stale."""
 
 import contextlib
-import dataclasses
 import io as stdio
 import sys
 from collections import Counter
@@ -12,6 +11,7 @@ import pytest
 from colorhom import checkers, cli, grading, io, linalg
 from colorhom.checkers import check_flexible_alternative
 from colorhom.constructions import twist_leibniz
+from colorhom.errors import FrozenError
 from colorhom.fixtures import fixture, fixture_document, fixture_names
 from colorhom.linalg import EvenMap
 
@@ -111,8 +111,8 @@ def test_stored_report_is_keyed_by_check():
 @pytest.mark.parametrize("name", fixture_names())
 def test_bundle_fields_are_frozen(name):
     bundle = fixture(name).bundle
-    field = dataclasses.fields(bundle)[-1].name
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    field = bundle.FIELDS[-1]
+    with pytest.raises(FrozenError):
         setattr(bundle, field, getattr(bundle, field))
 
 

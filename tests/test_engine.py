@@ -226,6 +226,14 @@ def random_bundles(rng, N, grading, dim):
     zero_right = MultilinearMap((mspace, space), mspace, {})
     out.append(("module-planted", ModuleBundle(
         alg, mspace, planted(rng, zero_left), zero_right, random_twist(rng, mspace))))
+    # a module over a random bracket: [x,y] is nonzero in non-central
+    # degrees, so eps(m,x) t(m)*[x,y] meets signs other than 1
+    noncentral = LeibnizBundle(space, bichar, random_table(rng, (space,) * 2, space), tw)
+    out.append(("module-noncentral", ModuleBundle(
+        noncentral, mspace,
+        random_table(rng, (space, mspace), mspace),
+        random_table(rng, (mspace, space), mspace),
+        random_twist(rng, mspace))))
     return out
 
 

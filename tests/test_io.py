@@ -2,7 +2,6 @@
 and the composite verdicts produced by full_check."""
 
 import copy
-import dataclasses
 import json
 import random
 import re
@@ -10,7 +9,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from colorhom import grading, io
+from colorhom import grading, io, record
 from colorhom.bundles import BUNDLE_TYPES, NonAssocBundle
 from colorhom.errors import InputError
 from colorhom.fixtures import fixture, fixture_document, fixture_names
@@ -317,7 +316,7 @@ def test_ops_declare_each_kind_once(kind):
     under its declared name, and each parsed operation acts on the spaces
     its OPS entry names."""
     bundle_type = BUNDLE_TYPES[kind]
-    fields = [f.name for f in dataclasses.fields(bundle_type)]
+    fields = list(bundle_type.FIELDS)
     assert fields[:2] == (["algebra", "module_space"] if kind == "module"
                           else ["space", "bichar"])
     assert [attr for _, attr, _ in bundle_type.OPS] == fields[2:-1]
@@ -339,10 +338,10 @@ def test_ops_declare_each_kind_once(kind):
 def test_operation_on_wrong_spaces_names_the_attribute():
     module = fixture("module-M").bundle
     with pytest.raises(InputError, match="act_right must map S x A"):
-        dataclasses.replace(module, act_right=module.act_left)
+        record.replace(module, act_right=module.act_left)
     akivis = fixture("akivis-A").bundle
     with pytest.raises(InputError, match="bracket must map S x S"):
-        dataclasses.replace(akivis, bracket=akivis.ternary)
+        record.replace(akivis, bracket=akivis.ternary)
 
 
 # ---------------------------------------------------------------------------
