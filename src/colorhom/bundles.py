@@ -25,8 +25,10 @@ def _require_even(name, m):
 
 
 def _once_per_bundle(check):
-    """Store check's result on its bundle, keyed by the check.  Bundles
-    are frozen, so a stored result cannot go stale."""
+    """Store check's result on its bundle, keyed by the check.  A bundle
+    is frozen all the way down (its maps, their tables and vectors, its
+    scalars and bicharacter refuse writes), and so is the stored report
+    with its violations and flags, so a stored result cannot go stale."""
 
     @functools.wraps(check)
     def memo(bundle):

@@ -152,29 +152,31 @@ def validate_bicharacter(matrix, group, field) -> CheckReport:
     return CheckReport("bicharacter-axioms", tuple(violations))
 
 
-class Bicharacter:
+class Bicharacter(Record):
     """Skew-symmetric bicharacter, stored on generator pairs.
 
     eval(a, b) = prod over generator pairs of entry(i,j) ** (a_i * b_j);
     negative exponents go through exact inversion.  Construction validates
-    the matrix and refuses invalid data.
+    the matrix and refuses invalid data.  Two caches ride along: ``_memo``
+    holds the values computed so far, ``_compiled`` the tables.Signs per
+    pair of spaces, built by tables.signs.
     """
 
-    __slots__ = ("group", "field", "matrix", "_memo", "_compiled")
+    FIELDS = ("group", "field", "matrix")
+    __slots__ = FIELDS + ("_memo", "_compiled")
 
     def __init__(self, group, field, matrix):
-        matrix = tuple(tuple(row) for row in matrix)
-        report = validate_bicharacter(matrix, group, field)
+        super().__init__(group, field, tuple(tuple(row) for row in matrix))
+
+    def __post_init__(self):
+        report = validate_bicharacter(self.matrix, self.group, self.field)
         if not report.passed:
             raise InputError(
                 "invalid bicharacter: "
                 + "; ".join(v.note for v in report.violations[:3])
             )
-        self.group = group
-        self.field = field
-        self.matrix = matrix
-        self._memo = {}
-        self._compiled = {}  # tables.Signs per pair of spaces, built by tables.signs
+        object.__setattr__(self, "_memo", {})
+        object.__setattr__(self, "_compiled", {})
 
     @classmethod
     def trivial(cls, group, field):
@@ -199,15 +201,6 @@ class Bicharacter:
                 value = value * self.matrix[i][j] ** (ai * bj)
         self._memo[key] = value
         return value
-
-    def __eq__(self, other):
-        if not isinstance(other, Bicharacter):
-            return NotImplemented
-        return (
-            self.group == other.group
-            and self.field == other.field
-            and self.matrix == other.matrix
-        )
 
     def __repr__(self):
         return f"Bicharacter({self.group!r}, {self.matrix!r})"

@@ -5,11 +5,17 @@ Vectors are sparse {basis index: Scalar} maps.  Multilinear maps are
 sparse structure-constant tables on basis tuples, evaluated on general
 vectors by multilinear expansion.  Grade-preserving linear maps (used for
 all twist maps) are dense matrices with an evenness check.
+
+Spaces, vectors and maps are frozen records (``colorhom.record``): they
+refuse writes and deletes, and a vector's coefficients and a map's table
+are read-only views, so nothing a bundle holds can change after the
+bundle is certified.
 """
 
 from __future__ import annotations
 
 from itertools import product
+from types import MappingProxyType
 
 from .errors import InputError
 from .grading import GroupElement
@@ -76,10 +82,11 @@ def _scalar(field, c):
     return c
 
 
-class Vector:
-    """Sparse vector; coefficient dict never stores zeros."""
+class Vector(Record):
+    """Sparse vector: ``coeffs`` is a read-only {basis index: Scalar} view
+    that never stores zeros."""
 
-    __slots__ = ("space", "coeffs")
+    __slots__ = FIELDS = ("space", "coeffs")
 
     def __init__(self, space, coeffs=None):
         clean = {}
@@ -89,11 +96,16 @@ class Vector:
                 raise InputError(f"basis index {i} out of range")
             if not c.is_zero():
                 clean[i] = c
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coeffs", clean)
+        super().__init__(space, MappingProxyType(clean))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Vector is immutable")
+    @classmethod
+    def _make(cls, space, coeffs):
+        """A Vector of trusted data: coeffs is a new dict of nonzero
+        scalars of space's field."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "space", space)
+        object.__setattr__(v, "coeffs", MappingProxyType(coeffs))
+        return v
 
     @classmethod
     def zero(cls, space):
@@ -123,42 +135,28 @@ class Vector:
                 out.pop(i, None)
             else:
                 out[i] = s
-        v = object.__new__(Vector)
-        object.__setattr__(v, "space", self.space)
-        object.__setattr__(v, "coeffs", out)
-        return v
+        return Vector._make(self.space, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        v = object.__new__(Vector)
-        object.__setattr__(v, "space", self.space)
-        object.__setattr__(v, "coeffs", {i: -c for i, c in self.coeffs.items()})
-        return v
+        return Vector._make(self.space, {i: -c for i, c in self.coeffs.items()})
 
     def scaled(self, k: Scalar):
         if not isinstance(k, Scalar):
             k = Scalar.rational(self.space.field, k)
         if k.is_zero():
             return Vector.zero(self.space)
-        v = object.__new__(Vector)
-        object.__setattr__(v, "space", self.space)
         coeffs = {}
         for i, c in self.coeffs.items():
             s = k * c
             if not s.is_zero():
                 coeffs[i] = s
-        object.__setattr__(v, "coeffs", coeffs)
-        return v
+        return Vector._make(self.space, coeffs)
 
     def __rmul__(self, k):
         return self.scaled(k)
-
-    def __eq__(self, other):
-        if not isinstance(other, Vector):
-            return NotImplemented
-        return self.space == other.space and self.coeffs == other.coeffs
 
     def items(self):
         return sorted(self.coeffs.items())
@@ -181,22 +179,23 @@ class Vector:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-class EvenMap:
+class EvenMap(Record):
     """Grade-preserving linear endomorphism as a dense matrix.
 
     Column j is the image of basis vector j; entry (i, j) nonzero demands
     degree(i) == degree(j), which is what check_evenness verifies.
+    ``_compiled`` holds the unary integer table, once colorhom.tables.table
+    builds it.
     """
 
-    __slots__ = ("space", "rows", "_compiled")
+    FIELDS = ("space", "rows")
+    __slots__ = FIELDS + ("_compiled",)
 
     def __init__(self, space, rows):
         rows = tuple(tuple(_scalar(space.field, c) for c in row) for row in rows)
         if len(rows) != space.dim or any(len(r) != space.dim for r in rows):
             raise InputError(f"matrix must be {space.dim}x{space.dim}")
-        self.space = space
-        self.rows = rows
-        self._compiled = None  # the unary integer table, built by colorhom.tables.table
+        super().__init__(space, rows)
 
     @classmethod
     def identity(cls, space):
@@ -277,25 +276,23 @@ class EvenMap:
     def is_identity(self):
         return self == EvenMap.identity(self.space)
 
-    def __eq__(self, other):
-        if not isinstance(other, EvenMap):
-            return NotImplemented
-        return self.space == other.space and self.rows == other.rows
-
     def __repr__(self):
         return f"EvenMap({self.rows!r})"
 
 
-class MultilinearMap:
+class MultilinearMap(Record):
     """Sparse structure-constant table of a k-linear map.
 
     ``spaces`` are the per-argument domains and ``codomain`` the target;
     for the algebra operations all of them coincide, while module actions
-    mix the algebra and module spaces.  Keys are basis index tuples; zero
-    values are never stored.
+    mix the algebra and module spaces.  ``table`` is a read-only view
+    keyed by basis index tuples; zero values are never stored.
+    ``_compiled`` holds the integer table, once colorhom.tables.table
+    builds it.
     """
 
-    __slots__ = ("spaces", "codomain", "table", "_compiled")
+    FIELDS = ("spaces", "codomain", "table")
+    __slots__ = FIELDS + ("_compiled",)
 
     def __init__(self, spaces, codomain, table):
         spaces = tuple(spaces)
@@ -316,10 +313,7 @@ class MultilinearMap:
                 raise InputError(f"value at {key} is not a codomain vector")
             if value:
                 clean[key] = value
-        self.spaces = spaces
-        self.codomain = codomain
-        self.table = clean
-        self._compiled = None  # integer tables, built by colorhom.tables.table
+        super().__init__(spaces, codomain, MappingProxyType(clean))
 
     @classmethod
     def internal(cls, space, arity, table):
@@ -376,15 +370,6 @@ class MultilinearMap:
             {(j, i): v for (i, j), v in self.table.items()},
         )
 
-    def __eq__(self, other):
-        if not isinstance(other, MultilinearMap):
-            return NotImplemented
-        return (
-            self.spaces == other.spaces
-            and self.codomain == other.codomain
-            and self.table == other.table
-        )
-
     def __repr__(self):
         return f"MultilinearMap(arity={self.arity}, entries={len(self.table)})"
 
@@ -407,11 +392,11 @@ def check_evenness(obj) -> CheckReport:
                                   "matrix entry crosses degrees")
                     )
     elif isinstance(obj, MultilinearMap):
-        for key, value in obj.entries():
+        for key, value in obj.table.items():
             want = obj.spaces[0].degree(key[0])
             for sp, i in zip(obj.spaces[1:], key[1:]):
                 want = want + sp.degree(i)
-            for i, _ in value.items():
+            for i in value.coeffs:
                 if obj.codomain.degree(i) != want:
                     violations.append(
                         Violation(key, value,

@@ -1,8 +1,14 @@
 """Frozen value records: a class lists its fields in ``FIELDS``, its ``__slots__``;
 a record sets them, then runs ``__post_init__`` (the class's validation).
-Records compare by value (``is`` first), cache their hash, refuse writes."""
+Records compare by value (``is`` first), cache their hash, refuse writes and
+deletes.  Every value a bundle holds is frozen this way, down to its maps,
+vectors, bicharacter and stored reports; a dict-valued field is kept as a
+read-only ``MappingProxyType`` view, which copy and pickle hand back to the
+constructor as a plain dict, so a copy is validated again.  A class may keep
+caches in extra slots, set with ``object.__setattr__``; they are not fields."""
 
 from operator import attrgetter
+from types import MappingProxyType
 
 from .errors import FrozenError
 
@@ -45,7 +51,8 @@ class Record:
         return self._hash
 
     def __reduce__(self):
-        return type(self), self._values(self)
+        return type(self), tuple(dict(v) if isinstance(v, MappingProxyType) else v
+                                 for v in self._values(self))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.FIELDS)

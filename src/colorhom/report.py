@@ -12,27 +12,26 @@ exact Vector is built only when the library reads ``Violation.defect``.
 
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from .record import Record
 
 
-class Violation:
+class Violation(Record):
     """One failing tuple: the basis indices (or generator indices), the
     exact defect value (a Vector or Scalar, LHS - RHS), and a short note.
 
     A law scan passes its defect as a ``tables.Defect``, integers over one
     denominator.  ``raw`` keeps the defect as it was passed, so a report
-    writes it from those integers; ``defect`` builds the Vector from a
-    ``Defect`` the first time it is read, and keeps it."""
+    writes it from those integers, and violations compare by it;
+    ``defect`` builds the Vector from a ``Defect`` the first time it is
+    read, and keeps it."""
 
-    __slots__ = ("args", "raw", "note", "_exact")
+    FIELDS = ("args", "raw", "note")
+    __slots__ = FIELDS + ("_exact",)
 
-    def __init__(self, args, defect=None, note=""):
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "raw", defect)
-        object.__setattr__(self, "note", note)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Violation is immutable")
+    def __init__(self, args, raw=None, note=""):
+        super().__init__(args, raw, note)
 
     @property
     def defect(self):
@@ -45,17 +44,6 @@ class Violation:
         exact = self.raw.vector() if isinstance(self.raw, Defect) else self.raw
         object.__setattr__(self, "_exact", exact)
         return exact
-
-    def _key(self):
-        return self.args, self.defect, self.note
-
-    def __eq__(self, other):
-        if not isinstance(other, Violation):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         return f"Violation(args={self.args!r}, defect={self.defect!r}, note={self.note!r})"
@@ -77,8 +65,8 @@ class CheckReport(Record):
 
     def __init__(self, identity_id, violations=(), subreports=(), flags=None,
                  precondition_failure=None, note=""):
-        flags = {} if flags is None else flags
-        super().__init__(identity_id, violations, subreports, flags, precondition_failure, note)
+        super().__init__(identity_id, violations, subreports,
+                         MappingProxyType(dict(flags or ())), precondition_failure, note)
 
     @property
     def passed(self) -> bool:

@@ -66,6 +66,9 @@ class FieldDescriptor(Record):
 
     __slots__ = FIELDS = ("cyclotomic_order", "minimal_polynomial", "degree", "reduction")
 
+    def __reduce__(self):  # a copy is the one field object of its order
+        return cyclotomic_field, (self.cyclotomic_order,)
+
     def __repr__(self):
         return f"FieldDescriptor(Q(zeta_{self.cyclotomic_order}))"
 
@@ -113,6 +116,8 @@ class Scalar:
 
     Stored as integer numerators over one positive denominator; the pair
     is always in canonical reduced form so == and hash are structural.
+    Not a Record, for speed: it keeps its own constructor, equality and
+    hash, and takes only the record's refusal of writes and deletes.
     """
 
     __slots__ = ("field", "nums", "den")
@@ -135,8 +140,10 @@ class Scalar:
         object.__setattr__(self, "den", den)
         return self
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    __setattr__ = __delattr__ = Record.__setattr__
+
+    def __reduce__(self):
+        return Scalar._make, (self.field, self.nums, self.den)
 
     @classmethod
     def zero(cls, field):

@@ -56,6 +56,7 @@ from math import lcm, prod
 
 from ._backend import kernel as _K
 from .linalg import EvenMap, MultilinearMap, Vector
+from .record import Record
 from .scalars import Scalar
 
 
@@ -224,28 +225,33 @@ class Table:
 
 
 def table(m) -> Table:
-    """The compiled form of m, built at its first use: a MultilinearMap,
-    or an EvenMap alpha as the unary table whose entry j is alpha(e_j)."""
-    if m._compiled is None:
-        if isinstance(m, EvenMap):
-            spaces, field, rows, n = (m.space,), m.space.field, m.rows, m.space.dim
-            values = {(j,): {i: rows[i][j] for i in range(n) if rows[i][j]}
-                      for j in range(n)}
-        else:
-            spaces, field = m.spaces, m.codomain.field
-            values = {key: v.coeffs for key, v in m.table.items()}
-        d = field.degree
-        den = lcm(1, *(s.den for v in values.values() for s in v.values()))
+    """The compiled form of m, built at its first use and kept in m's
+    ``_compiled`` slot: a MultilinearMap, or an EvenMap alpha as the unary
+    table whose entry j is alpha(e_j)."""
+    try:
+        return m._compiled
+    except AttributeError:
+        pass
+    if isinstance(m, EvenMap):
+        spaces, field, rows, n = (m.space,), m.space.field, m.rows, m.space.dim
+        values = {(j,): {i: rows[i][j] for i in range(n) if rows[i][j]}
+                  for j in range(n)}
+    else:
+        spaces, field = m.spaces, m.codomain.field
+        values = {key: v.coeffs for key, v in m.table.items()}
+    d = field.degree
+    den = lcm(1, *(s.den for v in values.values() for s in v.values()))
 
-        def leaf(key):
-            v = values.get(key)
-            if not v:
-                return ()
-            return _flatten({k: _numerators(s, den) for k, s in v.items()}, d)
+    def leaf(key):
+        v = values.get(key)
+        if not v:
+            return ()
+        return _flatten({k: _numerators(s, den) for k, s in v.items()}, d)
 
-        dims = [sp.dim for sp in spaces]
-        m._compiled = Table(field, dims, den, _grid(dims, leaf))
-    return m._compiled
+    dims = [sp.dim for sp in spaces]
+    compiled = Table(field, dims, den, _grid(dims, leaf))
+    object.__setattr__(m, "_compiled", compiled)
+    return compiled
 
 
 class Signs:
@@ -360,24 +366,21 @@ def law(space, *terms):
                     acc[p] += c * v
         if not any(acc):
             return None
-        return Defect(space, [(k, nums) for k, nums in enumerate(zip(*[iter(acc)] * d))
-                              if nums != zero], common)
+        return Defect(space, tuple((k, nums) for k, nums in enumerate(zip(*[iter(acc)] * d))
+                                   if nums != zero), common)
 
     return defect
 
 
-class Defect:
+class Defect(Record):
     """The nonzero value of a law at one basis tuple, as the scan found
-    it: ``coords`` lists (coordinate, numerators) for each nonzero
+    it: ``coords`` is a tuple of (coordinate, numerators) for each nonzero
     coordinate of a vector of ``space``, in increasing order, over the
     positive common denominator ``den``, none of them reduced.  A report
     writes each coefficient straight from these integers; ``vector``
     builds the exact Vector."""
 
-    __slots__ = ("space", "coords", "den")
-
-    def __init__(self, space, coords, den):
-        self.space, self.coords, self.den = space, coords, den
+    __slots__ = FIELDS = ("space", "coords", "den")
 
     def vector(self) -> Vector:
         """The exact Vector: each coordinate normalized by the scalar

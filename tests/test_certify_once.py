@@ -13,7 +13,7 @@ from colorhom.checkers import check_flexible_alternative
 from colorhom.constructions import twist_leibniz
 from colorhom.errors import FrozenError
 from colorhom.fixtures import fixture, fixture_document, fixture_names
-from colorhom.linalg import EvenMap
+from colorhom.linalg import EvenMap, Vector
 
 
 def fresh_bundle(name):
@@ -114,6 +114,29 @@ def test_bundle_fields_are_frozen(name):
     field = bundle.FIELDS[-1]
     with pytest.raises(FrozenError):
         setattr(bundle, field, getattr(bundle, field))
+
+
+def test_stored_report_cannot_go_stale():
+    """Nothing inside a certified bundle or its stored report takes a
+    write, so the stored PASS still matches a fresh parse's report."""
+    b = fresh_bundle("leibniz-L2")
+    stored = checkers.check_color_leibniz(b)
+    value = b.bracket.table[min(b.bracket.table)]
+    with pytest.raises(TypeError):
+        b.bracket.table[(0, 1)] = Vector(b.space, {1: 1})
+    with pytest.raises(TypeError):
+        value.coeffs[0] = value.coeffs[min(value.coeffs)]
+    with pytest.raises(TypeError):
+        stored.flags["passed"] = False
+    with pytest.raises(FrozenError):
+        b.bichar.matrix = b.bichar.matrix[::-1]
+    assert checkers.check_color_leibniz(b) is stored and stored.passed
+
+    def report(bundle):
+        return io.dumps_document(io.report_document(io.serialize_bundle(bundle),
+                                                    *io.full_check(bundle)))
+
+    assert report(b) == report(fresh_bundle("leibniz-L2"))
 
 
 @pytest.mark.parametrize("name", ["akivis-A", "module-M"])

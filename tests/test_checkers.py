@@ -314,6 +314,13 @@ def test_evenness_catches_odd_matrix_and_odd_entry():
     rep2 = check_evenness(odd)
     assert [v.args for v in rep2.violations] == [(0, 0)]
 
+    # every output component is checked, and the report is sorted
+    mixed = MultilinearMap.internal(sp, 2, {(1, 0): Vector(sp, {1: one}),
+                                            (0, 0): Vector(sp, {1: one, 0: one})})
+    rep3 = check_evenness(mixed)
+    assert [(v.args, v.note.split()[2]) for v in rep3.violations] == [
+        ((0, 0), sp.name(0)), ((1, 0), sp.name(1))]
+
 
 # ---------------------------------------------------------------------------
 # agreement with the independent oracle on fixtures

@@ -1,22 +1,27 @@
 """The record contract (colorhom.record): records built from two parses of
 one document are equal, hash alike and share a tables.signs entry; every
-field refuses a write; record.replace validates again; CheckReport
-compares by identity and ParsedDocument stays mutable.  Equal records are
-mostly distinct objects here, so the ``is`` shortcut and the cached hash
-cannot hide a broken value comparison."""
+field of every value a bundle holds, scalars, vectors, maps and reports
+included, refuses a write and a delete, and a read-only view refuses an
+item write; record.replace validates again; CheckReport compares by
+identity and ParsedDocument stays mutable; copy and pickle rebuild equal
+bundles that check alike.  Equal records are mostly distinct objects
+here, so the ``is`` shortcut and the cached hash cannot hide a broken
+value comparison."""
 
 import copy
 import pickle
+from types import MappingProxyType
 
 import pytest
 
 from colorhom import io, record, tables
+from colorhom.checkers import check_color_leibniz
 from colorhom.errors import FrozenError, InputError
 from colorhom.fixtures import fixture, fixture_document, fixture_names
 from colorhom.grading import GradingGroup
-from colorhom.linalg import EvenMap, GradedSpace
+from colorhom.linalg import EvenMap, GradedSpace, Vector
 from colorhom.report import CheckReport
-from colorhom.scalars import cyclotomic_field
+from colorhom.scalars import Scalar, cyclotomic_field
 
 # the first fixture of each bundle kind
 ONE_PER_KIND = sorted({fixture(n).bundle.kind: n for n in reversed(fixture_names())}.values())
@@ -30,15 +35,35 @@ def space_of(bundle):
     return bundle.module_space if bundle.kind == "module" else bundle.space
 
 
+def bichar_of(bundle):
+    return (bundle.algebra if bundle.kind == "module" else bundle).bichar
+
+
 def records(parsed):
-    """label -> one record of each frozen type reachable from a parse."""
+    """label -> one value of each frozen type reachable from a parse; a
+    violation from a parse of leibniz-L2-broken stands for the reports."""
     bundle = parsed.bundle
     space = space_of(bundle)
+    operation = bundle.ops()[0]
+    value = operation.table[min(operation.table)]
+    twist = getattr(bundle, bundle.TWIST[1])
+    broken = io.parse_document(fixture_document("leibniz-L2-broken")).bundle
     found = {"bundle": bundle, "space": space, "group": space.group,
-             "degree": space.degree(space.dim - 1), "field": space.field}
+             "degree": space.degree(space.dim - 1), "field": space.field,
+             "scalar": twist.rows[0][0], "vector": value + value,  # by Vector._make
+             "twist": twist, "operation": operation, "bicharacter": bichar_of(bundle),
+             "violation": check_color_leibniz(broken).violations[0]}
     if bundle.kind == "module":
         found["algebra"] = bundle.algebra
     return found
+
+
+def fields_of(value):
+    """The fields of a record; a Scalar, not a record, lists its slots."""
+    return value.FIELDS if isinstance(value, record.Record) else value.__slots__
+
+
+UNHASHABLE = ("bundle", "algebra", "vector", "operation")  # they hold read-only views
 
 
 @pytest.mark.parametrize("name", ONE_PER_KIND)
@@ -47,11 +72,11 @@ def test_two_parses_build_equal_records(name):
     assert one == two and one is not two
     for label, a in records(one).items():
         b = records(two)[label]
-        copied = record.replace(a)
+        copied = record.replace(a) if label != "scalar" else copy.copy(a)
         assert copied is not a, label
         for other in (b, copied):
             assert a == other and not a != other, label
-            if label in ("bundle", "algebra"):  # a Bicharacter has no hash
+            if label in UNHASHABLE:
                 with pytest.raises(TypeError):
                     hash(a)
             else:
@@ -88,13 +113,16 @@ def test_every_field_is_frozen(name):
         fixture_document(name)).bundle)[0]]
     for label, rec in [*records(io.parse_document(fixture_document(name))).items(),
                        *(("report", r) for r in reports)]:
-        for field in rec.FIELDS:
+        for field in fields_of(rec):
             value = getattr(rec, field)
             with pytest.raises(FrozenError):
                 setattr(rec, field, value)
             with pytest.raises(FrozenError):
                 delattr(rec, field)
             assert getattr(rec, field) is value, (label, field)
+            if isinstance(value, (dict, MappingProxyType)):  # a view, never a dict
+                with pytest.raises(TypeError):
+                    value[0] = value
         with pytest.raises(AttributeError):  # FrozenError is an AttributeError
             rec.unknown = 1
 
@@ -148,7 +176,39 @@ def test_keywords_name_fields_and_mistakes_are_refused():
 
 
 def test_copy_and_pickle_rebuild_equal_records():
-    space = io.parse_document(fixture_document("akivis-A")).bundle.space
-    for rec in (space, space.group, space.degree(0), space.field):
-        assert copy.copy(rec) == rec and copy.deepcopy(rec) == rec
-        assert pickle.loads(pickle.dumps(rec)) == rec
+    for label, rec in records(io.parse_document(fixture_document("akivis-A"))).items():
+        assert copy.copy(rec) == rec and copy.deepcopy(rec) == rec, label
+        assert pickle.loads(pickle.dumps(rec)) == rec, label
+
+
+def report_bytes(bundle):
+    return io.dumps_document(io.report_document(io.serialize_bundle(bundle),
+                                                *io.full_check(bundle)))
+
+
+def scalars_of(bundle):
+    for b in (bundle.algebra, bundle) if bundle.kind == "module" else (bundle,):
+        yield from (s for row in getattr(b, b.TWIST[1]).rows for s in row)
+        for op in b.ops():
+            yield from (s for v in op.table.values() for s in v.coeffs.values())
+    yield from (s for row in bichar_of(bundle).matrix for s in row)
+
+
+@pytest.mark.parametrize("name", ONE_PER_KIND)
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_copied_bundle_checks_alike(name, how):
+    """A copied or unpickled bundle equals its original and writes the
+    same report; its scalars keep the one field object of their order,
+    so its space takes that field's scalars."""
+    bundle = io.parse_document(fixture_document(name)).bundle
+    order = space_of(bundle).field.cyclotomic_order
+    want = report_bytes(bundle)
+    copied = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+              "pickle": lambda b: pickle.loads(pickle.dumps(b))}[how](bundle)
+    assert copied == bundle
+    assert report_bytes(copied) == want
+    field = cyclotomic_field(order)
+    assert all(s.field is field for s in scalars_of(copied))
+    space = space_of(copied)
+    assert space.field is field
+    assert Vector(space, {0: Scalar.one(field)}).coeffs[0] == 1

@@ -200,6 +200,8 @@ def test_scalar_is_immutable_and_hashable():
     z = Scalar.root(field)
     with pytest.raises(AttributeError):
         z.nums = (9, 9)
+    with pytest.raises(AttributeError):
+        del z.nums
     assert len({z, z ** 1, z ** 5}) == 1  # z^5 = z
 
 
