@@ -26,9 +26,11 @@ def _require_even(name, m):
 
 def _once_per_bundle(check):
     """Store check's result on its bundle, keyed by the check.  A bundle
-    is frozen all the way down (its maps, their tables and vectors, its
-    scalars and bicharacter refuse writes), and so is the stored report
-    with its violations and flags, so a stored result cannot go stale."""
+    is frozen all the way down (its maps, their tables, vectors and
+    compiled integer tables, its scalars and bicharacter refuse writes),
+    and so is the stored report with its violations and flags, so a
+    stored result cannot go stale through a public name.  The memo dicts
+    in underscore slots, ``_reports`` among them, are the exception."""
 
     @functools.wraps(check)
     def memo(bundle):

@@ -7,9 +7,10 @@ vectors by multilinear expansion.  Grade-preserving linear maps (used for
 all twist maps) are dense matrices with an evenness check.
 
 Spaces, vectors and maps are frozen records (``colorhom.record``): they
-refuse writes and deletes, and a vector's coefficients and a map's table
-are read-only views, so nothing a bundle holds can change after the
-bundle is certified.
+refuse writes and deletes, a vector's coefficients and a map's table are
+read-only views, and the integer table a map compiles to (``_compiled``,
+colorhom.tables) is frozen too, so no public field of what a bundle
+holds can change after the bundle is certified.
 """
 
 from __future__ import annotations
@@ -96,7 +97,11 @@ class Vector(Record):
                 raise InputError(f"basis index {i} out of range")
             if not c.is_zero():
                 clean[i] = c
-        super().__init__(space, MappingProxyType(clean))
+        # set directly, not through Record.__init__: the endomorphism test
+        # builds Vectors per basis tuple, and the generic loop made each
+        # construction about two thirds slower
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "coeffs", MappingProxyType(clean))
 
     @classmethod
     def _make(cls, space, coeffs):
@@ -109,7 +114,7 @@ class Vector(Record):
 
     @classmethod
     def zero(cls, space):
-        return cls(space, {})
+        return cls._make(space, {})
 
     @classmethod
     def basis(cls, space, i):
@@ -127,7 +132,7 @@ class Vector(Record):
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coeffs)
+        out = self.coeffs.copy()
         for i, c in other.coeffs.items():
             s = out.get(i)
             s = c if s is None else s + c

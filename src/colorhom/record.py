@@ -5,7 +5,9 @@ deletes.  Every value a bundle holds is frozen this way, down to its maps,
 vectors, bicharacter and stored reports; a dict-valued field is kept as a
 read-only ``MappingProxyType`` view, which copy and pickle hand back to the
 constructor as a plain dict, so a copy is validated again.  A class may keep
-caches in extra slots, set with ``object.__setattr__``; they are not fields."""
+caches in extra slots, set with ``object.__setattr__``; they are not fields.
+A cache slot refuses reassignment, but a memo dict kept in one takes item
+writes; only frozen values are put in it."""
 
 from operator import attrgetter
 from types import MappingProxyType

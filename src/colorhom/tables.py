@@ -83,16 +83,16 @@ def _unflatten(vec, d):
 
 
 def _grid(dims, leaf, prefix=()):
-    """Nested lists indexed like dims, holding leaf(index tuple)."""
+    """Nested tuples indexed like dims, holding leaf(index tuple)."""
     if not dims:
         return leaf(prefix)
-    return [_grid(dims[1:], leaf, prefix + (i,)) for i in range(dims[0])]
+    return tuple([_grid(dims[1:], leaf, prefix + (i,)) for i in range(dims[0])])
 
 
 def _map_grid(grid, depth, fn):
     if not depth:
         return fn(grid)
-    return [_map_grid(g, depth - 1, fn) for g in grid]
+    return tuple([_map_grid(g, depth - 1, fn) for g in grid])
 
 
 def _rotations(coords, d, red):
@@ -115,19 +115,16 @@ def _accumulate(coords, k, value):
 # compiled maps
 
 
-class Table:
-    """A compiled multilinear map: ``entries`` nests one list level per
+class Table(Record):
+    """A compiled multilinear map: ``entries`` nests one tuple level per
     argument, each leaf the flattened value of that basis tuple over
-    ``den``."""
+    ``den``.  ``_memo`` caches the tables and grids derived from it."""
 
-    __slots__ = ("field", "dims", "den", "entries", "_memo")
+    FIELDS = ("field", "dims", "den", "entries")
+    __slots__ = FIELDS + ("_memo",)
 
-    def __init__(self, field, dims, den, entries):
-        self.field = field
-        self.dims = tuple(dims)
-        self.den = den
-        self.entries = entries
-        self._memo = {}
+    def __post_init__(self):
+        object.__setattr__(self, "_memo", {})
 
     def images(self, twist: "Table", arg):
         """Twisted images of a binary operation as a Table whose rows are
@@ -155,8 +152,8 @@ class Table:
                     for k, o in entry:
                         _accumulate(value, k, _K.product(a, o, red))
                 row.extend(_rotations(value, d, red))
-            rows.append(row)
-        out = Table(field, (self.dims[arg], other * d), self.den * twist.den, rows)
+            rows.append(tuple(row))
+        out = Table(field, (self.dims[arg], other * d), self.den * twist.den, tuple(rows))
         self._memo[key] = (twist, out)
         return out
 
@@ -167,9 +164,9 @@ class Table:
         hit = self._memo.get("columns")
         if hit is None:
             d, red = self.field.degree, self.field.reduction
-            hit = self._memo["columns"] = [
+            hit = self._memo["columns"] = tuple([
                 v for entry in self.entries
-                for v in _rotations(dict(_unflatten(entry, d)), d, red)]
+                for v in _rotations(dict(_unflatten(entry, d)), d, red)])
         return hit
 
     def scaled(self, nums, den):
@@ -202,9 +199,9 @@ class Table:
         choice of basis indices: ``shape`` lists the factors
         (signs, i, j) = eps(index i, index j), with the indices numbered
         0, 1, ... in order of first appearance, and the grid nests one
-        list level per index.  Built once per shape, so the rotations of
+        tuple level per index.  Built once per shape, so the rotations of
         a cyclic sum share it.  Returns (grid, denominator of the scale)."""
-        key = ("signed", shape)  # Signs compare by identity
+        key = ("signed", shape)
         hit = self._memo.get(key)
         if hit is None:
             ranges = {}  # from the spaces, so an empty basis gives an empty grid
@@ -248,22 +245,17 @@ def table(m) -> Table:
             return ()
         return _flatten({k: _numerators(s, den) for k, s in v.items()}, d)
 
-    dims = [sp.dim for sp in spaces]
+    dims = tuple(sp.dim for sp in spaces)
     compiled = Table(field, dims, den, _grid(dims, leaf))
     object.__setattr__(m, "_compiled", compiled)
     return compiled
 
 
-class Signs:
+class Signs(Record):
     """eps(deg i, deg j) for basis index i of space a and j of space b:
     ``at[i][j]`` is its numerator tuple over ``den``."""
 
-    def __init__(self, bichar, a, b):
-        values = [[bichar(a.degree(i), b.degree(j)) for j in range(b.dim)]
-                  for i in range(a.dim)]
-        self.dims = (a.dim, b.dim)
-        self.den = lcm(1, *(s.den for row in values for s in row))
-        self.at = [[_numerators(s, self.den) for s in row] for row in values]
+    __slots__ = FIELDS = ("dims", "den", "at")
 
 
 def signs(bichar, a, b) -> Signs:
@@ -271,7 +263,11 @@ def signs(bichar, a, b) -> Signs:
     kept on the bicharacter."""
     hit = bichar._compiled.get((a, b))
     if hit is None:
-        hit = bichar._compiled[a, b] = Signs(bichar, a, b)
+        values = [[bichar(a.degree(i), b.degree(j)) for j in range(b.dim)]
+                  for i in range(a.dim)]
+        den = lcm(1, *(s.den for row in values for s in row))
+        hit = bichar._compiled[a, b] = Signs((a.dim, b.dim), den, tuple(
+            tuple(_numerators(s, den) for s in row) for row in values))
     return hit
 
 
@@ -319,7 +315,7 @@ def term(sign, outer, *args, eps=()):
             source, rows, at, rows_den = (outer, *args), None, None, 1
     if isinstance(source, int):  # the basis vector e_k[p] of outer's argument 1 - i
         n, d = outer.dims[1 - i], outer.field.degree
-        source = (Table(outer.field, (n,), 1, [((k * d, 1),) for k in range(n)]), source)
+        source = (Table(outer.field, (n,), 1, tuple(((k * d, 1),) for k in range(n))), source)
     table, positions = source[0], source[1:]
     grid, eps_den = table.entries, 1
     if eps:

@@ -21,8 +21,8 @@ FAULTS = [
      "            for i in list(value.coeffs)[:1]:",
      "evenness looks at one output component per entry"),
     # the frozen values
-    ("colorhom/linalg.py", "super().__init__(space, MappingProxyType(clean))",
-     "super().__init__(space, clean)",
+    ("colorhom/linalg.py", 'object.__setattr__(self, "coeffs", MappingProxyType(clean))',
+     'object.__setattr__(self, "coeffs", clean)',
      "a parsed vector's coefficients take item writes"),
     ("colorhom/linalg.py", 'object.__setattr__(v, "coeffs", MappingProxyType(coeffs))',
      'object.__setattr__(v, "coeffs", coeffs)',
@@ -38,6 +38,10 @@ FAULTS = [
     ("colorhom/scalars.py", "return cyclotomic_field, (self.cyclotomic_order,)",
      "return Record.__reduce__(self)",
      "a copied scalar gets a second field object, which a Vector of the field refuses"),
+    ("colorhom/tables.py",
+     "return tuple([_grid(dims[1:], leaf, prefix + (i,)) for i in range(dims[0])])",
+     "return [_grid(dims[1:], leaf, prefix + (i,)) for i in range(dims[0])]",
+     "a compiled table's entries take item writes, which every later scan reads"),
     ("colorhom/record.py", "dict(v) if isinstance(v, MappingProxyType) else v", "v",
      "copy and pickle meet a read-only view, which they cannot rebuild"),
 ]

@@ -1,8 +1,7 @@
 """Mutation gate: each fault of ``tests/mutants.py``, applied alone to a
 copy of ``src/`` in a temporary directory, must make the test suite fail.
 
-    python tests/mutation_gate.py          # every fault
-    python tests/mutation_gate.py 0 4      # the faults at these indices
+    python tests/mutation_gate.py
 
 The copy holds ``src/``, ``tests/``, ``perfbench/`` (whose tracing a test
 imports), ``README.md`` and ``pyproject.toml``; there
@@ -66,25 +65,24 @@ def run_suite(fault=None):
     return proc.returncode == 0, seconds, failed[0] if failed else f"exit {proc.returncode}"
 
 
-def main(argv):
-    chosen = [FAULTS[int(i)] for i in argv] if argv else FAULTS
-    check_faults(chosen)
+def main():
+    check_faults(FAULTS)
     passed, seconds, failure = run_suite()
     print(f"unchanged copy: {'passes' if passed else 'FAILS'} ({seconds:.0f} s)", flush=True)
     if not passed:
         print(f"  {failure}")
         return 1
     survivors = []
-    for fault in chosen:
+    for index, fault in enumerate(FAULTS):
         path, _, _, what = fault
         passed, seconds, failure = run_suite(fault)
         verdict = f"SURVIVES ({what})" if passed else f"caught by {failure}"
-        print(f"{FAULTS.index(fault):2d} {path}: {verdict} ({seconds:.0f} s)", flush=True)
+        print(f"{index:2d} {path}: {verdict} ({seconds:.0f} s)", flush=True)
         if passed:
             survivors.append(fault)
-    print(f"{len(chosen) - len(survivors)} of {len(chosen)} faults caught")
+    print(f"{len(FAULTS) - len(survivors)} of {len(FAULTS)} faults caught")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from colorhom import checkers, cli, grading, io, linalg
+from colorhom import checkers, cli, grading, io, linalg, tables
 from colorhom.checkers import check_flexible_alternative
 from colorhom.constructions import twist_leibniz
 from colorhom.errors import FrozenError
@@ -117,8 +117,8 @@ def test_bundle_fields_are_frozen(name):
 
 
 def test_stored_report_cannot_go_stale():
-    """Nothing inside a certified bundle or its stored report takes a
-    write, so the stored PASS still matches a fresh parse's report."""
+    """Nothing inside a certified bundle, its compiled tables or its stored
+    report takes a write, so the stored PASS still matches a fresh parse's report."""
     b = fresh_bundle("leibniz-L2")
     stored = checkers.check_color_leibniz(b)
     value = b.bracket.table[min(b.bracket.table)]
@@ -130,6 +130,11 @@ def test_stored_report_cannot_go_stale():
         stored.flags["passed"] = False
     with pytest.raises(FrozenError):
         b.bichar.matrix = b.bichar.matrix[::-1]
+    compiled = tables.table(b.bracket)  # what every later scan of the bracket reads
+    with pytest.raises(TypeError):
+        compiled.entries[0][1] = ()
+    with pytest.raises(FrozenError):
+        compiled.entries = ()
     assert checkers.check_color_leibniz(b) is stored and stored.passed
 
     def report(bundle):

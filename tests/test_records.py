@@ -1,10 +1,11 @@
 """The record contract (colorhom.record): records built from two parses of
 one document are equal, hash alike and share a tables.signs entry; every
-field of every value a bundle holds, scalars, vectors, maps and reports
-included, refuses a write and a delete, and a read-only view refuses an
-item write; record.replace validates again; CheckReport compares by
-identity and ParsedDocument stays mutable; copy and pickle rebuild equal
-bundles that check alike.  Equal records are mostly distinct objects
+field of every value a bundle holds, scalars, vectors, maps, compiled
+tables and reports included, refuses a write and a delete, a read-only
+view refuses an item write, and no field nests a list, dict or set;
+record.replace validates again; CheckReport compares by identity and
+ParsedDocument stays mutable; copy and pickle rebuild equal bundles that
+check alike.  Equal records are mostly distinct objects
 here, so the ``is`` shortcut and the cached hash cannot hide a broken
 value comparison."""
 
@@ -41,7 +42,8 @@ def bichar_of(bundle):
 
 def records(parsed):
     """label -> one value of each frozen type reachable from a parse; a
-    violation from a parse of leibniz-L2-broken stands for the reports."""
+    violation from a parse of leibniz-L2-broken stands for the reports, and
+    the compiled tables are built here."""
     bundle = parsed.bundle
     space = space_of(bundle)
     operation = bundle.ops()[0]
@@ -52,10 +54,20 @@ def records(parsed):
              "degree": space.degree(space.dim - 1), "field": space.field,
              "scalar": twist.rows[0][0], "vector": value + value,  # by Vector._make
              "twist": twist, "operation": operation, "bicharacter": bichar_of(bundle),
-             "violation": check_color_leibniz(broken).violations[0]}
+             "violation": check_color_leibniz(broken).violations[0],
+             "compiled": tables.table(operation),
+             "signs": tables.signs(bichar_of(bundle), space, space)}
     if bundle.kind == "module":
         found["algebra"] = bundle.algebra
     return found
+
+
+def nested(value):
+    """value and, if it is a tuple, everything nested in it."""
+    yield value
+    if isinstance(value, tuple):
+        for item in value:
+            yield from nested(item)
 
 
 def fields_of(value):
@@ -123,6 +135,8 @@ def test_every_field_is_frozen(name):
             if isinstance(value, (dict, MappingProxyType)):  # a view, never a dict
                 with pytest.raises(TypeError):
                     value[0] = value
+            assert not any(isinstance(v, (list, dict, set)) for v in nested(value)), (
+                label, field)  # tuples all the way down
         with pytest.raises(AttributeError):  # FrozenError is an AttributeError
             rec.unknown = 1
 
