@@ -389,20 +389,21 @@ def check_evenness(obj) -> CheckReport:
     violations = []
     if isinstance(obj, EvenMap):
         sp = obj.space
+        degree = [deg.coords for _, deg in sp.basis]
         for i in range(sp.dim):
             for j in range(sp.dim):
-                if not obj.rows[i][j].is_zero() and sp.degree(i) != sp.degree(j):
+                if not obj.rows[i][j].is_zero() and degree[i] != degree[j]:
                     violations.append(
                         Violation((i, j), obj.rows[i][j],
                                   "matrix entry crosses degrees")
                     )
     elif isinstance(obj, MultilinearMap):
+        *args, out = [[deg.coords for _, deg in sp.basis] for sp in (*obj.spaces, obj.codomain)]
+        canon = obj.codomain.group.canon
         for key, value in obj.table.items():
-            want = obj.spaces[0].degree(key[0])
-            for sp, i in zip(obj.spaces[1:], key[1:]):
-                want = want + sp.degree(i)
+            want = canon([sum(c) for c in zip(*[deg[i] for deg, i in zip(args, key)])])
             for i in value.coeffs:
-                if obj.codomain.degree(i) != want:
+                if out[i] != want:
                     violations.append(
                         Violation(key, value,
                                   f"output component {obj.codomain.name(i)} "

@@ -31,7 +31,10 @@ class Violation(Record):
     __slots__ = FIELDS + ("_exact",)
 
     def __init__(self, args, raw=None, note=""):
-        super().__init__(args, raw, note)
+        # set directly, as Vector.__init__ does: one per failing tuple
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "raw", raw)
+        object.__setattr__(self, "note", note)
 
     @property
     def defect(self):

@@ -14,7 +14,10 @@ Q-multilinear, so every law becomes a sum of integer products:
   for each position q = j*d + t;
 * ``Table.images``: the twisted images L[x][q] = O(alpha e_x, zeta**t e_b)
   and R[z][q] = O(zeta**t e_a, alpha e_z), so that, for example,
-  O(alpha e_x, I(e_y, e_z)) = sum_q I[y][z][q] * L[x][q];
+  O(alpha e_x, I(e_y, e_z)) = sum_q I[y][z][q] * L[x][q].  Like
+  ``columns``, it builds column q = b*d + t only for the phases t that the
+  contracted vector (I[y][z]) can fill: 0 for a basis vector, its table's
+  own under rational eps, else all d; the others are never read and stay ();
 * ``Signs``: the values eps(deg i, deg j) over their own denominator,
   built once per bicharacter and pair of spaces (``signs``).
 
@@ -95,20 +98,22 @@ def _map_grid(grid, depth, fn):
     return tuple([_map_grid(g, depth - 1, fn) for g in grid])
 
 
-def _rotations(coords, d, red):
-    """{coordinate: numerator tuple} v -> the flattened zeta**t * v for
-    t = 0, .., d-1."""
-    out = []
-    for t in range(d):
-        if t:
-            coords = {k: _K.times_zeta(c, red) for k, c in coords.items()}
-        out.append(_flatten(coords, d))
+def _rotations(vectors, d, red, phases):
+    """[v, ..], each v [(coordinate, numerator tuple)] -> for each v and
+    t = 0, .., d-1 in turn, the flattened zeta**t * v if t is in phases,
+    else (); each coordinate is rotated once per phase, up to the largest."""
+    out, turns = [], range(max(phases, default=-1) + 1)
+    for coords in vectors:
+        columns = [[] for _ in range(d)]
+        for k, c in coords:
+            k *= d
+            for t in turns:
+                if t:
+                    c = _K.times_zeta(c, red)
+                if t in phases:
+                    columns[t] += [(k + s, n) for s, n in enumerate(c) if n]
+        out += map(tuple, columns)
     return out
-
-
-def _accumulate(coords, k, value):
-    old = coords.get(k)
-    coords[k] = value if old is None else tuple(u + v for u, v in zip(old, value))
 
 
 # --------------------------------------------------------------------------
@@ -126,48 +131,65 @@ class Table(Record):
     def __post_init__(self):
         object.__setattr__(self, "_memo", {})
 
-    def images(self, twist: "Table", arg):
+    def images(self, twist: "Table", arg, phases):
         """Twisted images of a binary operation as a Table whose rows are
         indexed by the basis of the twisted argument ``arg`` (0 or 1) and
         whose columns are the flattened positions of the other argument:
         row x, column q = b*d + t holds O(twist e_x, zeta**t e_b) for
         arg 0 and O(zeta**t e_b, twist e_x) for arg 1, twist a unary
-        table."""
+        table.  It builds the columns of the zeta-phases t in ``phases``
+        and of those an earlier call built, so one table serves both; the
+        others are (): a contraction reads column q only where its source
+        is nonzero, and ``term`` passes every phase that source fills."""
         key = ("images", arg, id(twist))
         hit = self._memo.get(key)
-        if hit is not None:
-            return hit[1]
+        if hit is not None and set(phases) <= set(hit[1]):
+            return hit[2]
+        phases = tuple(sorted({*phases, *(hit[1] if hit else ())}))
         field = self.field
         d, red = field.degree, field.reduction
         coords = _map_grid(self.entries, 2, lambda v: _unflatten(v, d))
         other = self.dims[1 - arg]
         rows = []
         for x in range(self.dims[arg]):
-            column = _unflatten(twist.entries[x], d)
-            row = []
-            for b in range(other):
-                value = {}
-                for i, a in column:
+            # a rational twist coefficient s scales by integer multiplies
+            column = [(i, a, None if any(a[1:]) else a[0])
+                      for i, a in _unflatten(twist.entries[x], d)]
+            values = [{} for _ in range(other)]
+            for b, value in enumerate(values):
+                for i, a, s in column:
                     entry = coords[i][b] if arg == 0 else coords[b][i]
                     for k, o in entry:
-                        _accumulate(value, k, _K.product(a, o, red))
-                row.extend(_rotations(value, d, red))
-            rows.append(tuple(row))
+                        o = _K.product(a, o, red) if s is None else [s * c for c in o]
+                        old = value.get(k)
+                        value[k] = o if old is None else [u + v for u, v in zip(old, o)]
+            rows.append(tuple(_rotations([v.items() for v in values], d, red, phases)))
         out = Table(field, (self.dims[arg], other * d), self.den * twist.den, tuple(rows))
-        self._memo[key] = (twist, out)
+        self._memo[key] = (twist, phases, out)
         return out
 
-    def columns(self):
-        """The images of a unary table T at the flattened positions:
-        column q = j*d + t is the flattened zeta**t * T(e_j), so that T
-        applied to a flattened vector v is sum_q v[q] * columns[q]."""
-        hit = self._memo.get("columns")
+    def columns(self, phases):
+        """The images of a unary table T at the flattened positions, as a
+        unary Table over T's denominator: column q = j*d + t is the
+        flattened zeta**t * T(e_j), so that T applied to a flattened vector
+        v is sum_q v[q] * columns[q].  As in ``images``, only the columns
+        of the phases t in ``phases`` are built, the others are (); one
+        table is kept per set of phases."""
+        key = ("columns", phases)
+        hit = self._memo.get(key)
         if hit is None:
             d, red = self.field.degree, self.field.reduction
-            hit = self._memo["columns"] = tuple([
-                v for entry in self.entries
-                for v in _rotations(dict(_unflatten(entry, d)), d, red)])
+            cols = tuple(_rotations([_unflatten(v, d) for v in self.entries], d, red, phases))
+            hit = self._memo[key] = Table(self.field, (len(cols),), self.den, cols)
         return hit
+
+    def phases(self):
+        """The zeta-phases t of the positions k*d + t its entries fill, sorted."""
+        if "phases" not in self._memo:
+            d, found = self.field.degree, set()
+            _map_grid(self.entries, len(self.dims), lambda v: found.update(p % d for p, _ in v))
+            self._memo["phases"] = tuple(sorted(found))
+        return self._memo["phases"]
 
     def scaled(self, nums, den):
         """This table times the field scalar nums / den."""
@@ -301,20 +323,29 @@ def term(sign, outer, *args, eps=()):
     ``signs``.  For example
     term(-1, B, (t, 1), (B, 0, 2), eps=[(E, 0, 1)]) is
     -eps(x,y) [t(y), [x,z]]."""
-    if len(outer.dims) == 1:  # the images of outer(v) are its columns
-        (source,), rows, at, rows_den = args, outer.columns(), None, outer.den
+    d, rows, at, rows_den = outer.field.degree, None, None, 1
+    if len(outer.dims) == 1:
+        (source,) = args
     else:
         for i, arg in enumerate(args):
             if isinstance(arg, tuple) and len(arg) == 2:
-                # the first twisted argument indexes the image rows
-                tw, at = arg
-                images = outer.images(tw, i)
-                source, rows, rows_den = args[1 - i], images.entries, images.den
+                (tw, at), source = arg, args[1 - i]
                 break
         else:  # one table entry, itself the value
-            source, rows, at, rows_den = (outer, *args), None, None, 1
+            source = (outer, *args)
+    if len(outer.dims) == 1 or at is not None:
+        # the zeta-phases the contracted source can fill: an eps with a zeta
+        # part moves a coefficient into every phase, a rational one keeps it
+        if any(any(v[1:]) for e, _, _ in eps for row in e.at for v in row):
+            phases = tuple(range(d))
+        elif isinstance(source, int):  # a basis vector: numerator 1 at phase 0
+            phases = (0,)
+        else:
+            phases = source[0].phases()
+        images = outer.columns(phases) if at is None else outer.images(tw, i, phases)
+        rows, rows_den = images.entries, images.den
     if isinstance(source, int):  # the basis vector e_k[p] of outer's argument 1 - i
-        n, d = outer.dims[1 - i], outer.field.degree
+        n = outer.dims[1 - i]
         source = (Table(outer.field, (n,), 1, tuple(((k * d, 1),) for k in range(n))), source)
     table, positions = source[0], source[1:]
     grid, eps_den = table.entries, 1
@@ -377,6 +408,11 @@ class Defect(Record):
     builds the exact Vector."""
 
     __slots__ = FIELDS = ("space", "coords", "den")
+
+    def __init__(self, space, coords, den):  # as Violation.__init__, for speed
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "den", den)
 
     def vector(self) -> Vector:
         """The exact Vector: each coordinate normalized by the scalar

@@ -13,6 +13,13 @@ FAULTS = [
      "entry = coords[i][b] if arg == 0 else coords[b][i]",
      "entry = coords[b][i] if arg == 0 else coords[i][b]",
      "twisted images read the untwisted argument's slot"),
+    ("colorhom/tables.py", "if any(any(v[1:]) for e, _, _ in eps for row in e.at for v in row):",
+     "if False:",
+     "the phase set ignores an eps with a zeta part, so images it reads are ()"),
+    ("colorhom/tables.py", "None if any(a[1:]) else a[0]", "a[0]",
+     "a twist coefficient with a zeta part is scaled as a rational one"),
+    ("colorhom/tables.py", "phases = (0,)", "phases = ()",
+     "a basis-vector source reads no phase, not phase 0"),
     ("colorhom/constructions.py", "bn.power(op.arity - 1)", "bn.power(op.arity)",
      "a twisted k-ary operation takes beta^(nk), not beta^(n(k-1))"),
     ("colorhom/constructions.py", "alg.twist.power(2 * n)", "alg.twist.power(n)",

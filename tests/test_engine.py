@@ -13,11 +13,13 @@
 Random bundles cover the fields Q (N=1), Q(i) (N=4) and Q(zeta_12)
 (N=12); trivial, Z2xZ2 (signs +-1), Z4xZ4 (signs +-i) and free rank-2
 gradings whose bicharacter has entries 2 and 1/2 (so eps has
-denominators); twist maps with fractional entries; modules whose
-dimension differs from the algebra's; and both passing bundles and
-bundles with one planted +1 in a structure constant.
+denominators); twist maps with fractional entries; tables and twists
+with rational values over Q(i) and Q(zeta_12); modules whose dimension
+differs from the algebra's; and both passing bundles and bundles with
+one planted +1 in a structure constant.
 """
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -74,6 +76,10 @@ CASES = [
     (12, "trivial"), (12, "z2xz2"), (12, "z4xz4"), (12, "free2"),
 ]
 
+# rational tables and twists under the +-1 and the +-i bicharacter: a
+# rational source fills phase 0 only, until an eps with a zeta part scales it
+RATIONAL_CASES = [(4, "z2xz2"), (4, "z4xz4"), (12, "z2xz2"), (12, "z4xz4")]
+
 ALL_LAWS = {
     "skew-symmetry", "hom-akivis", "hom-jacobi", "flexible-literal",
     "flexible-polarized", "alternative-first-pair", "alternative-second-pair",
@@ -94,12 +100,12 @@ def scalar(F, value):
     return value if isinstance(value, Scalar) else Scalar(F, [value])
 
 
-def random_scalar(rng, F):
+def random_scalar(rng, F, rational=False):
     """A nonzero element with small fractional coefficients on every power
-    of zeta."""
+    of zeta, or on 1 alone when rational."""
     while True:
         s = Scalar(F, [Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2, 3)))
-                       for _ in range(F.degree)])
+                       for _ in range(1 if rational else F.degree)])
         if s:
             return s
 
@@ -122,7 +128,7 @@ def degrees(rng, pool, dim, names):
             for i in range(dim)]
 
 
-def random_table(rng, spaces, codomain, density=0.7):
+def random_table(rng, spaces, codomain, density=0.7, rational=False):
     table = {}
     for key in itertools.product(*(range(sp.dim) for sp in spaces)):
         if rng.random() > density:
@@ -130,18 +136,18 @@ def random_table(rng, spaces, codomain, density=0.7):
         want = spaces[0].degree(key[0])
         for sp, i in zip(spaces[1:], key[1:]):
             want = want + sp.degree(i)
-        coeffs = {k: random_scalar(rng, codomain.field) for k in range(codomain.dim)
+        coeffs = {k: random_scalar(rng, codomain.field, rational) for k in range(codomain.dim)
                   if codomain.degree(k) == want and rng.random() < 0.8}
         if coeffs:
             table[key] = Vector(codomain, coeffs)
     return MultilinearMap(spaces, codomain, table)
 
 
-def random_twist(rng, space):
+def random_twist(rng, space, rational=False):
     """An even map with fractional entries."""
     zero = Scalar.zero(space.field)
     return EvenMap(space, tuple(
-        tuple(random_scalar(rng, space.field)
+        tuple(random_scalar(rng, space.field, rational)
               if space.degree(i) == space.degree(j) and rng.random() < 0.8 else zero
               for j in range(space.dim))
         for i in range(space.dim)))
@@ -159,7 +165,7 @@ def eps_flexible(T, bichar):
     return MultilinearMap.internal(space, 3, table)
 
 
-def central_bracket(rng, space):
+def central_bracket(rng, space, rational=False):
     """A bracket whose image brackets to zero on both sides, so the
     Leibniz law holds for every twist."""
     central = set(range(space.dim // 2, space.dim))
@@ -168,7 +174,7 @@ def central_bracket(rng, space):
         if i in central or j in central:
             continue
         want = space.degree(i) + space.degree(j)
-        coeffs = {k: random_scalar(rng, space.field) for k in central
+        coeffs = {k: random_scalar(rng, space.field, rational) for k in central
                   if space.degree(k) == want}
         if coeffs:
             table[(i, j)] = Vector(space, coeffs)
@@ -181,18 +187,21 @@ def planted(rng, m):
     return G.bump(m, *rng.choice(slots)) if slots else m
 
 
-def random_bundles(rng, N, grading, dim):
+def random_bundles(rng, N, grading, dim, rational=False):
     """(kind, bundle) pairs: random (mostly failing), passing, and passing
-    with one planted +1."""
+    with one planted +1; with rational, every random table and twist has
+    rational values."""
     space, bichar = setup(rng, N, grading, dim)
-    mu = random_table(rng, (space,) * 2, space)
-    tw = random_twist(rng, space)
-    skew = vector_laws.eps_antisymmetrized(random_table(rng, (space,) * 2, space), bichar)
-    T = random_table(rng, (space,) * 3, space, density=0.5)
-    central = central_bracket(rng, space)
+    table = functools.partial(random_table, rng, rational=rational)
+    twist = functools.partial(random_twist, rng, rational=rational)
+    mu = table((space,) * 2, space)
+    tw = twist(space)
+    skew = vector_laws.eps_antisymmetrized(table((space,) * 2, space), bichar)
+    T = table((space,) * 3, space, density=0.5)
+    central = central_bracket(rng, space, rational)
     out = [
         ("nonassoc", NonAssocBundle(space, bichar, mu, tw)),
-        ("leibniz", LeibnizBundle(space, bichar, random_table(rng, (space,) * 2, space), tw)),
+        ("leibniz", LeibnizBundle(space, bichar, table((space,) * 2, space), tw)),
         ("leibniz-passing", LeibnizBundle(space, bichar, central, tw)),
         ("leibniz-planted", LeibnizBundle(space, bichar, planted(rng, central), tw)),
         ("akivis", AkivisBundle(space, bichar, skew, T, tw)),
@@ -207,8 +216,8 @@ def random_bundles(rng, N, grading, dim):
             for k, v in cyclic.table.items()})
         one = EvenMap.identity(space)
         out += [
-            ("dialgebra", DialgebraBundle(space, bichar, mu, random_table(
-                rng, (space,) * 2, space), tw)),
+            ("dialgebra", DialgebraBundle(space, bichar, mu, table(
+                (space,) * 2, space), tw)),
             ("dialgebra-passing", DialgebraBundle(space, bichar, prod, prod, one)),
             ("dialgebra-planted", DialgebraBundle(space, bichar, prod, planted(rng, prod), one)),
             ("nonassoc-passing", NonAssocBundle(space, bichar, prod, one)),
@@ -219,21 +228,21 @@ def random_bundles(rng, N, grading, dim):
         space.field, space.group, degrees(rng, GRADINGS[grading][1], dim + 1, "m"))
     out.append(("module", ModuleBundle(
         alg, mspace,
-        random_table(rng, (space, mspace), mspace),
-        random_table(rng, (mspace, space), mspace),
-        random_twist(rng, mspace))))
+        table((space, mspace), mspace),
+        table((mspace, space), mspace),
+        twist(mspace))))
     zero_left = MultilinearMap((space, mspace), mspace, {})
     zero_right = MultilinearMap((mspace, space), mspace, {})
     out.append(("module-planted", ModuleBundle(
-        alg, mspace, planted(rng, zero_left), zero_right, random_twist(rng, mspace))))
+        alg, mspace, planted(rng, zero_left), zero_right, twist(mspace))))
     # a module over a random bracket: [x,y] is nonzero in non-central
     # degrees, so eps(m,x) t(m)*[x,y] meets signs other than 1
-    noncentral = LeibnizBundle(space, bichar, random_table(rng, (space,) * 2, space), tw)
+    noncentral = LeibnizBundle(space, bichar, table((space,) * 2, space), tw)
     out.append(("module-noncentral", ModuleBundle(
         noncentral, mspace,
-        random_table(rng, (space, mspace), mspace),
-        random_table(rng, (mspace, space), mspace),
-        random_twist(rng, mspace))))
+        table((space, mspace), mspace),
+        table((mspace, space), mspace),
+        twist(mspace))))
     return out
 
 
@@ -304,12 +313,15 @@ def compare(b, reports):
         assert got == expected, report.identity_id
 
 
-@pytest.mark.parametrize("N,grading", CASES)
-def test_engine_matches_vector_expressions(scans, N, grading):
-    rng = random.Random(f"{N}-{grading}")
+@pytest.mark.parametrize("N,grading,rational", [
+    *(pytest.param(N, grading, False, id=f"{N}-{grading}") for N, grading in CASES),
+    *(pytest.param(N, grading, True, id=f"{N}-{grading}-rational")
+      for N, grading in RATIONAL_CASES)])
+def test_engine_matches_vector_expressions(scans, N, grading, rational):
+    rng = random.Random(f"{N}-{grading}" + "-rational" * rational)
     seen = set()
     for dim in (0, 1, DIM[grading]):
-        for kind, b in random_bundles(rng, N, grading, dim):
+        for kind, b in random_bundles(rng, N, grading, dim, rational):
             reports = scans(b)
             assert reports, kind
             compare(b, reports)
