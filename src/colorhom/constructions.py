@@ -31,7 +31,7 @@ from .checkers import (
     check_nhlp,
 )
 from .errors import ConstructionError, InputError
-from .linalg import EvenMap, GradedSpace, MultilinearMap, Vector, commutator_map
+from .linalg import EvenMap, GradedSpace, MultilinearMap, Vector, _scalar, commutator_map
 from .scalars import Scalar
 
 
@@ -75,12 +75,8 @@ def _twist(b, beta: EvenMap, n: int, check, what):
     _even_endo(beta, b, what)
     _require(check(b), f"{what} input")
     bn = beta.power(n)
-    out = type(b)(
-        b.space,
-        b.bichar,
-        *(op.map_values(bn.power(op.arity - 1)) for op in b.ops()),
-        bn.compose(b.twist),
-    )
+    ops = [tables.composed(bn.power(op.arity - 1), op) for op in b.ops()]
+    out = type(b)(b.space, b.bichar, *ops, bn.compose(b.twist))
     if out == b:  # a fixed point: keep the input and the reports stored on it
         out = b
     _require(check(out), f"{what} output")
@@ -109,21 +105,22 @@ def nhlp_opposite(b: NHLPBundle) -> NHLPBundle:
     certified; for genuinely graded bundles the compatibility law of the
     opposite can fail, in which case this refuses with the report."""
     _require(check_nhlp(b), "nhlp_opposite input")
-    out = NHLPBundle(b.space, b.bichar, b.product.opposite(), b.bracket, b.twist)
+    opposite = tables.law(b.space, tables.term(1, tables.table(b.product), 1, 0))  # P(e_y, e_x)
+    out = NHLPBundle(b.space, b.bichar, tables.materialize(b.product.spaces, b.space, opposite),
+                     b.bracket, b.twist)
     _require(check_nhlp(out), "nhlp_opposite output")
     return out
 
 
 def nhlp_scaled(b: NHLPBundle, k: Scalar) -> NHLPBundle:
     """Scale both operations by one nonzero scalar."""
-    if not isinstance(k, Scalar):
-        k = Scalar.rational(b.space.field, k)
+    k = _scalar(b.space.field, k)
     if k.is_zero():
         raise InputError("scaling by zero is not a structure transport")
     _require(check_nhlp(b), "nhlp_scaled input")
-    out = NHLPBundle(
-        b.space, b.bichar, b.product.scaled(k), b.bracket.scaled(k), b.twist
-    )
+    scale = EvenMap.diagonal(b.space, [k] * b.space.dim)
+    out = NHLPBundle(b.space, b.bichar, tables.composed(scale, b.product),
+                     tables.composed(scale, b.bracket), b.twist)
     _require(check_nhlp(out), "nhlp_scaled output")
     return out
 
@@ -205,12 +202,9 @@ def twist_module(mb: ModuleBundle, n: int = 1) -> ModuleBundle:
     alg = mb.algebra
     _even_endo(alg.twist, alg, "twist_module algebra twist must be multiplicative")
     _require(check_module(mb), "twist_module input")
-    t2n = tables.table(alg.twist.power(2 * n))
-    A, M = alg.space, mb.module_space
-    aL, aR = tables.table(mb.act_left), tables.table(mb.act_right)
-    left = tables.materialize((A, M), M, tables.law(M, tables.term(1, aL, (t2n, 0), 1)))
-    right = tables.materialize((M, A), M, tables.law(M, tables.term(1, aR, 0, (t2n, 1))))
-    out = ModuleBundle(alg, M, left, right, mb.module_twist)
+    t2n = alg.twist.power(2 * n)
+    out = ModuleBundle(alg, mb.module_space, tables.composed(t2n, mb.act_left, at=0),
+                       tables.composed(t2n, mb.act_right, at=1), mb.module_twist)
     if out == mb:  # a fixed point: keep the input and the reports stored on it
         out = mb
     _require(check_module(out), "twist_module output")

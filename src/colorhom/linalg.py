@@ -354,27 +354,6 @@ class MultilinearMap(Record):
     def entries(self):
         return sorted(self.table.items())
 
-    def map_values(self, fn) -> "MultilinearMap":
-        """New table with fn applied to every value (fn must be linear for
-        the result to stay multilinear; used for composing with even maps
-        and for scaling)."""
-        return MultilinearMap(
-            self.spaces, self.codomain, {k: fn(v) for k, v in self.table.items()}
-        )
-
-    def scaled(self, k: Scalar) -> "MultilinearMap":
-        return self.map_values(lambda v: v.scaled(k))
-
-    def opposite(self) -> "MultilinearMap":
-        """Arguments swapped; only defined for binary maps."""
-        if self.arity != 2 or self.spaces[0] != self.spaces[1]:
-            raise InputError("opposite needs a binary map on one space")
-        return MultilinearMap(
-            self.spaces,
-            self.codomain,
-            {(j, i): v for (i, j), v in self.table.items()},
-        )
-
     def __repr__(self):
         return f"MultilinearMap(arity={self.arity}, entries={len(self.table)})"
 

@@ -156,7 +156,11 @@ class Scalar:
     @classmethod
     def rational(cls, field, p, q=1):
         """p / q for ints or Fractions p and q."""
-        pair = (p.numerator * q.denominator, p.denominator * q.numerator)
+        try:
+            pair = (p.numerator * q.denominator, p.denominator * q.numerator)
+        except AttributeError:
+            bad = type(q if hasattr(p, "numerator") else p).__name__
+            raise InputError(f"a rational scalar takes ints or Fractions, not {bad}") from None
         return cls._make(field, *_ratios(field, [pair]))
 
     @classmethod

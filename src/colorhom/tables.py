@@ -49,7 +49,9 @@ rows of ``FieldDescriptor.reduction``, with no gcd.
 
 A derived map is a law too, kept as a MultilinearMap by ``materialize``:
 the ``commutator`` (whose zero test is eps-commutativity), the
-Hom-associator, the dialgebra bracket and the twisted module actions.
+Hom-associator, the dialgebra bracket and every map a construction
+outputs: ``composed`` builds the twists and the scaling, f o op or op
+with f applied to one argument, and the opposite product is one term.
 """
 
 from __future__ import annotations
@@ -77,12 +79,12 @@ def _flatten(coords, d):
 
 
 def _unflatten(vec, d):
-    """(position, numerator) pairs -> [(coordinate, numerator tuple)]."""
+    """(position, numerator) pairs -> ((coordinate, numerator tuple), ..)."""
     coords = {}
     for p, c in vec:
         k, t = divmod(p, d)
         coords.setdefault(k, [0] * d)[t] = c
-    return [(k, tuple(v)) for k, v in coords.items()]
+    return tuple([(k, tuple(v)) for k, v in coords.items()])
 
 
 def _grid(dims, leaf, prefix=()):
@@ -148,7 +150,9 @@ class Table(Record):
         phases = tuple(sorted({*phases, *(hit[1] if hit else ())}))
         field = self.field
         d, red = field.degree, field.reduction
-        coords = _map_grid(self.entries, 2, lambda v: _unflatten(v, d))
+        coords = self._memo.get("coords")  # shared by the builds for both arguments
+        if coords is None:
+            coords = self._memo["coords"] = _map_grid(self.entries, 2, lambda v: _unflatten(v, d))
         other = self.dims[1 - arg]
         rows = []
         for x in range(self.dims[arg]):
@@ -432,3 +436,14 @@ def materialize(spaces, codomain, defect) -> MultilinearMap:
         if v is not None:
             table[key] = v.vector()
     return MultilinearMap(spaces, codomain, table)
+
+
+def composed(f, m, at=None) -> MultilinearMap:
+    """The map f o m, f an EvenMap and m a MultilinearMap, or with at = p
+    the binary m with f applied to its argument p, built from one term."""
+    F, M = table(f), table(m)
+    if at is None:  # f(m(e_k0, .., e_kn))
+        t = term(1, F, (M, *range(m.arity)))
+    else:  # m(f e_k0, e_k1) or m(e_k0, f e_k1)
+        t = term(1, M, *[(F, p) if p == at else p for p in (0, 1)])
+    return materialize(m.spaces, m.codomain, law(m.codomain, t))

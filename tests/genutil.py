@@ -145,9 +145,9 @@ def weighted_table(rng, space, weights, arity=2, density=0.6):
 
 
 def weight_endo(space, weights, t):
-    return EvenMap.diagonal(
-        space, [Scalar.rational(FIELD, t) ** w for w in weights]
-    )
+    """diag(t^w): t an int or a Scalar of FIELD, such as Scalar.root(FIELD)."""
+    t = t if isinstance(t, Scalar) else Scalar.rational(FIELD, t)
+    return EvenMap.diagonal(space, [t ** w for w in weights])
 
 
 def random_weights(rng, dim):

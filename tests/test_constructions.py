@@ -118,11 +118,45 @@ def test_twist_akivis_ternary_takes_the_doubled_power():
         b = akivis_from_algebra(NonAssocBundle(space, bichar, mu, alpha))
         n = rng.choice((1, 2))
         out = twist_akivis(b, beta, n)
-        assert out.bracket == b.bracket.map_values(beta.power(n))
-        assert out.ternary == b.ternary.map_values(beta.power(2 * n))
+        assert out.bracket.table == {k: beta.power(n)(v) for k, v in b.bracket.table.items()}
+        assert out.ternary.table == {k: beta.power(2 * n)(v) for k, v in b.ternary.table.items()}
         assert out.twist == beta.power(n).compose(b.twist)
-        distinguishing += out.ternary != b.ternary.map_values(beta.power(n))
+        distinguishing += out.ternary.table != {
+            k: beta.power(n)(v) for k, v in b.ternary.table.items()}
     assert distinguishing >= 5
+
+
+def test_twists_along_a_zeta_beta_match_vector_arithmetic():
+    """beta = diag(i^w) has a zeta part, so the twisted images leave phase
+    0: every output entry is compared with beta^m(v) by Vector
+    arithmetic, the Akivis ternary (m = 2n) included."""
+    rng = random.Random(1909)
+    root = Scalar.root(G.FIELD)
+    checked = set()
+    for _ in range(12):
+        space, bichar = G.random_setup(rng, 4)
+        weights = G.random_weights(rng, space.dim)
+        mu = G.weighted_table(rng, space, weights, density=0.7)
+        alpha = G.weight_endo(space, weights, rng.choice((1, 2)))
+        b = akivis_from_algebra(NonAssocBundle(space, bichar, mu, alpha))
+        beta, n = G.weight_endo(space, weights, root), rng.choice((1, 2, 3))
+        out = twist_akivis(b, beta, n)
+        for old, new in zip(b.ops(), out.ops()):
+            bn = beta.power(n * (old.arity - 1))
+            assert new.table == {k: bn(v) for k, v in old.table.items()}
+            checked.add((old.arity, any(c.nums[1:] for v in new.table.values()
+                                        for c in v.coeffs.values())))
+        assert out.twist == beta.power(n).compose(b.twist)
+    assert {(2, True), (3, True)} <= checked
+    # a Leibniz bracket and a Leibniz-Poisson product and bracket:
+    # [e1, e2] = e2, with the unit u fixed by the twist
+    solvable = G.solvable_lie_leibniz()
+    for b, weights in ((solvable, [0, 1]), (trivial_extension(solvable), [0, 1, 0])):
+        beta = G.weight_endo(b.space, weights, root)
+        out = (twist_leibniz if isinstance(b, LeibnizBundle) else twist_nhlp)(b, beta, 3)
+        for old, new in zip(b.ops(), out.ops()):
+            assert new.table == {k: beta.power(3)(v) for k, v in old.table.items()}
+        assert out.bracket.on_basis(0, 1) == Vector(b.space, {1: root ** 3})
 
 
 def test_twist_akivis_rejects_non_endomorphism():
@@ -283,6 +317,29 @@ def test_nhlp_scaled_rejects_zero():
     te = trivial_extension(fixture("leibniz-L2").bundle)
     with pytest.raises(InputError):
         nhlp_scaled(te, 0)
+
+
+@pytest.mark.parametrize("k", [0.5, "2", None])
+def test_nhlp_scaled_refuses_a_non_rational_scale(k):
+    te = trivial_extension(fixture("leibniz-L2").bundle)
+    with pytest.raises(InputError, match=type(k).__name__):
+        nhlp_scaled(te, k)
+
+
+def test_nhlp_scaled_by_a_root_of_unity_matches_vector_arithmetic():
+    """Both operations scaled by i, entry by entry against Vector.scaled,
+    on a graded bundle (product only) and on one with a nonzero product
+    and bracket."""
+    sp, bc, prod = G.cyclic_group_algebra(4, graded=True)
+    root, compared = Scalar.root(G.FIELD), 0
+    for b in (NHLPBundle(sp, bc, prod, MultilinearMap.internal(sp, 2, {}), EvenMap.identity(sp)),
+              trivial_extension(G.solvable_lie_leibniz())):
+        out = nhlp_scaled(b, root)
+        for old, new in zip(b.ops(), out.ops()):
+            assert new.table == {k: v.scaled(root) for k, v in old.table.items()}
+            compared += bool(old.table)
+        assert out.twist == b.twist
+    assert compared == 3
 
 
 def test_opposite_and_scale_pair():

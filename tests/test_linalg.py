@@ -224,24 +224,6 @@ def test_multilinear_evenness_detection():
     assert check_evenness(good).passed
 
 
-def test_opposite():
-    sp = trivial_space(2)
-    m = MultilinearMap.internal(sp, 2, {(0, 1): Vector.basis(sp, 0)})
-    op = m.opposite()
-    assert op.on_basis(1, 0) == Vector.basis(sp, 0)
-    assert op.on_basis(0, 1).is_zero()
-
-
-def test_map_values_and_scaled():
-    sp = trivial_space(2)
-    m = MultilinearMap.internal(sp, 2, {(0, 1): Vector.basis(sp, 0)})
-    doubled = m.scaled(Scalar.rational(F1, 2))
-    assert doubled.on_basis(0, 1) == Vector(sp, {0: 2})
-    alpha = EvenMap.diagonal(sp, [3, 5])
-    mapped = m.map_values(alpha)
-    assert mapped.on_basis(0, 1) == Vector(sp, {0: 3})
-
-
 def test_commutator_map_trivial_grading():
     sp = trivial_space(2)
     eps = Bicharacter.trivial(TRIVIAL_GROUP, F1)

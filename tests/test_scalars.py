@@ -147,6 +147,14 @@ def test_rational_arithmetic_is_fraction_arithmetic():
     assert (a / b).coefficients == (Fraction(3, 2),)
 
 
+@pytest.mark.parametrize("p, q, name", [
+    (0.5, 1, "float"), ("1/2", 1, "str"), (None, 1, "NoneType"), (1, 2.0, "float"),
+])
+def test_rational_refuses_what_is_not_an_int_or_fraction(p, q, name):
+    with pytest.raises(InputError, match=f"not {name}$"):
+        Scalar.rational(cyclotomic_field(4), p, q)
+
+
 def test_mixed_int_and_fraction_operands():
     field = cyclotomic_field(3)
     z = Scalar.root(field)
