@@ -3,8 +3,9 @@
 Spaces carry a named homogeneous basis with degrees in a grading group.
 Vectors are sparse {basis index: Scalar} maps.  Multilinear maps are
 sparse structure-constant tables on basis tuples, evaluated on general
-vectors by multilinear expansion.  Grade-preserving linear maps (used for
-all twist maps) are dense matrices with an evenness check.
+vectors by multilinear expansion, and checked for evenness by one degree
+rule.  A twist map (EvenMap) is the unary one, built from and compared by
+its dense matrix: its value at e_j is column j.
 
 Spaces, vectors and maps are frozen records (``colorhom.record``): they
 refuse writes and deletes, a vector's coefficients and a map's table are
@@ -184,107 +185,6 @@ class Vector(Record):
         return " + ".join(parts).replace("+ -", "- ")
 
 
-class EvenMap(Record):
-    """Grade-preserving linear endomorphism as a dense matrix.
-
-    Column j is the image of basis vector j; entry (i, j) nonzero demands
-    degree(i) == degree(j), which is what check_evenness verifies.
-    ``_compiled`` holds the unary integer table, once colorhom.tables.table
-    builds it.
-    """
-
-    FIELDS = ("space", "rows")
-    __slots__ = FIELDS + ("_compiled",)
-
-    def __init__(self, space, rows):
-        rows = tuple(tuple(_scalar(space.field, c) for c in row) for row in rows)
-        if len(rows) != space.dim or any(len(r) != space.dim for r in rows):
-            raise InputError(f"matrix must be {space.dim}x{space.dim}")
-        super().__init__(space, rows)
-
-    @classmethod
-    def identity(cls, space):
-        one, zero = Scalar.one(space.field), Scalar.zero(space.field)
-        return cls(
-            space,
-            tuple(
-                tuple(one if i == j else zero for j in range(space.dim))
-                for i in range(space.dim)
-            ),
-        )
-
-    @classmethod
-    def diagonal(cls, space, values):
-        zero = Scalar.zero(space.field)
-        return cls(
-            space,
-            tuple(
-                tuple(values[i] if i == j else zero for j in range(space.dim))
-                for i in range(space.dim)
-            ),
-        )
-
-    @classmethod
-    def from_images(cls, space, images):
-        """Build from the list of image vectors of the basis."""
-        zero = Scalar.zero(space.field)
-        cols = []
-        for v in images:
-            cols.append([v.coeffs.get(i, zero) for i in range(space.dim)])
-        return cls(space, tuple(tuple(cols[j][i] for j in range(space.dim))
-                                for i in range(space.dim)))
-
-    def image_of_basis(self, j) -> Vector:
-        return Vector(self.space, {i: self.rows[i][j] for i in range(self.space.dim)})
-
-    def __call__(self, v: Vector) -> Vector:
-        if v.space != self.space:
-            raise InputError("vector space mismatch")
-        out = Vector.zero(self.space)
-        for j, c in v.coeffs.items():
-            out = out + self.image_of_basis(j).scaled(c)
-        return out
-
-    def compose(self, other: "EvenMap") -> "EvenMap":
-        """self after other (matrix product self @ other)."""
-        if self.space != other.space:
-            raise InputError("map space mismatch")
-        n = self.space.dim
-        zero = Scalar.zero(self.space.field)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    a = self.rows[i][k]
-                    b = other.rows[k][j]
-                    if not (a.is_zero() or b.is_zero()):
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(tuple(row))
-        return EvenMap(self.space, tuple(rows))
-
-    def power(self, n: int) -> "EvenMap":
-        """Exact n-th compositional power, n >= 0 (power 0 is the identity)."""
-        if n < 0:
-            raise InputError("map power must be >= 0")
-        result, base = None, self
-        while n:
-            if n & 1:
-                result = base if result is None else result.compose(base)
-            n >>= 1
-            if n:
-                base = base.compose(base)
-        return EvenMap.identity(self.space) if result is None else result
-
-    def is_identity(self):
-        return self == EvenMap.identity(self.space)
-
-    def __repr__(self):
-        return f"EvenMap({self.rows!r})"
-
-
 class MultilinearMap(Record):
     """Sparse structure-constant table of a k-linear map.
 
@@ -358,38 +258,100 @@ class MultilinearMap(Record):
         return f"MultilinearMap(arity={self.arity}, entries={len(self.table)})"
 
 
-def check_evenness(obj) -> CheckReport:
-    """Verify grade preservation.
-
-    For a MultilinearMap: every output coefficient sits in degree equal to
-    the sum of the argument degrees.  For an EvenMap: entry (i, j) nonzero
-    requires degree(i) == degree(j).
+class EvenMap(MultilinearMap):
+    """Grade-preserving linear endomorphism: the unary internal
+    MultilinearMap whose value at e_j is column j of the dense matrix
+    ``rows``.  Entry (i, j) nonzero demands degree(i) == degree(j), which
+    check_evenness verifies by the one degree rule of every map.  Its
+    fields, and so its equality and hash, are (space, rows).
     """
+
+    __slots__ = FIELDS = ("space", "rows")
+
+    def __init__(self, space, rows):
+        field, n = space.field, space.dim
+        rows = tuple(tuple(_scalar(field, c) for c in row) for row in rows)
+        if len(rows) != n or any(len(r) != n for r in rows):
+            raise InputError(f"matrix must be {n}x{n}")
+        table = {}
+        for j, column in enumerate(zip(*rows)):
+            column = {i: c for i, c in enumerate(column) if not c.is_zero()}
+            if column:
+                table[j,] = Vector._make(space, column)
+        self._set(space, rows, table)
+
+    def _set(self, space, rows, table):
+        # Record.__init__ sets FIELDS only; the inherited slots are set here
+        for name, value in (("space", space), ("rows", rows), ("spaces", (space,)),
+                            ("codomain", space), ("table", MappingProxyType(table))):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def identity(cls, space):
+        return cls.diagonal(space, [Scalar.one(space.field)] * space.dim)
+
+    @classmethod
+    def diagonal(cls, space, values):
+        zero, n = Scalar.zero(space.field), space.dim
+        return cls(space, [[values[i] if i == j else zero for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def from_images(cls, space, images):
+        """Build from the list of image vectors of the basis, each a
+        Vector of space, which is kept as its column."""
+        images = tuple(images)
+        if len(images) != space.dim or any(v.space != space for v in images):
+            raise InputError(f"expected {space.dim} images in the space")
+        zero = Scalar.zero(space.field)
+        rows = tuple(tuple(v.coeffs.get(i, zero) for v in images) for i in range(space.dim))
+        return object.__new__(cls)._set(space, rows, {(j,): v for j, v in enumerate(images) if v})
+
+    def compose(self, other: "EvenMap") -> "EvenMap":
+        """self after other (matrix product self @ other): self evaluated
+        on each column of other."""
+        return EvenMap.from_images(
+            self.space, [self(other.on_basis(j)) for j in range(self.space.dim)])
+
+    def power(self, n: int) -> "EvenMap":
+        """Exact n-th compositional power, n >= 0 (power 0 is the identity)."""
+        if n < 0:
+            raise InputError("map power must be >= 0")
+        result, base = None, self
+        while n:
+            if n & 1:
+                result = base if result is None else result.compose(base)
+            n >>= 1
+            if n:
+                base = base.compose(base)
+        return EvenMap.identity(self.space) if result is None else result
+
+    def is_identity(self):
+        return self == EvenMap.identity(self.space)
+
+    def __repr__(self):
+        return f"EvenMap({self.rows!r})"
+
+
+def check_evenness(m: MultilinearMap) -> CheckReport:
+    """Verify grade preservation: every output coefficient of m sits in
+    degree equal to the sum of the argument degrees.  For an EvenMap,
+    value (j,) is column j, so entry (i, j) nonzero requires
+    degree(i) == degree(j)."""
+    if not isinstance(m, MultilinearMap):
+        raise InputError(f"cannot check evenness of {type(m).__name__}")
     violations = []
-    if isinstance(obj, EvenMap):
-        sp = obj.space
-        degree = [deg.coords for _, deg in sp.basis]
-        for i in range(sp.dim):
-            for j in range(sp.dim):
-                if not obj.rows[i][j].is_zero() and degree[i] != degree[j]:
-                    violations.append(
-                        Violation((i, j), obj.rows[i][j],
-                                  "matrix entry crosses degrees")
-                    )
-    elif isinstance(obj, MultilinearMap):
-        *args, out = [[deg.coords for _, deg in sp.basis] for sp in (*obj.spaces, obj.codomain)]
-        canon = obj.codomain.group.canon
-        for key, value in obj.table.items():
-            want = canon([sum(c) for c in zip(*[deg[i] for deg, i in zip(args, key)])])
-            for i in value.coeffs:
-                if out[i] != want:
-                    violations.append(
-                        Violation(key, value,
-                                  f"output component {obj.codomain.name(i)} "
-                                  "off the expected degree")
-                    )
-    else:
-        raise InputError(f"cannot check evenness of {type(obj).__name__}")
+    *args, out = [[deg.coords for _, deg in sp.basis] for sp in (*m.spaces, m.codomain)]
+    canon = m.codomain.group.canon
+    for key, value in m.table.items():
+        want = canon([sum(c) for c in zip(*[deg[i] for deg, i in zip(args, key)])])
+        for i in value.coeffs:
+            if out[i] != want:
+                violations.append(
+                    Violation(key, value,
+                              f"output component {m.codomain.name(i)} "
+                              "off the expected degree")
+                )
     return CheckReport("evenness", sorted_violations(violations))
 
 
@@ -411,7 +373,7 @@ def endomorphism_defects(f: EvenMap, ops):
     f(op(e_i1 .. e_ik)) != op(f e_i1, .., f e_ik).  Only meaningful for
     internal maps on f's space."""
     space = f.space
-    images = [f.image_of_basis(j) for j in range(space.dim)]
+    images = [f.on_basis(j) for j in range(space.dim)]
     for opn, op in enumerate(ops):
         if any(sp != space for sp in op.spaces) or op.codomain != space:
             raise InputError("endomorphism test needs internal maps on f's space")

@@ -161,6 +161,8 @@ class Scalar:
         except AttributeError:
             bad = type(q if hasattr(p, "numerator") else p).__name__
             raise InputError(f"a rational scalar takes ints or Fractions, not {bad}") from None
+        if not pair[1]:
+            raise InputError(f"a rational scalar takes a nonzero denominator, not {q}")
         return cls._make(field, *_ratios(field, [pair]))
 
     @classmethod

@@ -9,9 +9,9 @@ Q-multilinear, so every law becomes a sum of integer products:
 
 * ``Table``: an operation, with the flattened value of every basis
   tuple as (position, numerator) pairs over the table's denominator.  A
-  twist map alpha compiles to a unary Table, entry j the flattened
-  alpha(e_j); ``Table.columns`` gives its column zeta**t * alpha(e_j)
-  for each position q = j*d + t;
+  twist map alpha is a unary map, so it compiles to a unary Table, entry
+  j the flattened alpha(e_j); ``Table.columns`` gives its column
+  zeta**t * alpha(e_j) for each position q = j*d + t;
 * ``Table.images``: the twisted images L[x][q] = O(alpha e_x, zeta**t e_b)
   and R[z][q] = O(zeta**t e_a, alpha e_z), so that, for example,
   O(alpha e_x, I(e_y, e_z)) = sum_q I[y][z][q] * L[x][q].  Like
@@ -60,7 +60,7 @@ from itertools import product
 from math import lcm, prod
 
 from ._backend import kernel as _K
-from .linalg import EvenMap, MultilinearMap, Vector
+from .linalg import MultilinearMap, Vector
 from .record import Record
 from .scalars import Scalar
 
@@ -248,20 +248,15 @@ class Table(Record):
 
 
 def table(m) -> Table:
-    """The compiled form of m, built at its first use and kept in m's
-    ``_compiled`` slot: a MultilinearMap, or an EvenMap alpha as the unary
-    table whose entry j is alpha(e_j)."""
+    """The compiled form of the MultilinearMap m, built at its first use
+    and kept in m's ``_compiled`` slot.  A twist map alpha, an EvenMap, is
+    unary, so its table's entry j is alpha(e_j)."""
     try:
         return m._compiled
     except AttributeError:
         pass
-    if isinstance(m, EvenMap):
-        spaces, field, rows, n = (m.space,), m.space.field, m.rows, m.space.dim
-        values = {(j,): {i: rows[i][j] for i in range(n) if rows[i][j]}
-                  for j in range(n)}
-    else:
-        spaces, field = m.spaces, m.codomain.field
-        values = {key: v.coeffs for key, v in m.table.items()}
+    field = m.codomain.field
+    values = {key: v.coeffs for key, v in m.table.items()}
     d = field.degree
     den = lcm(1, *(s.den for v in values.values() for s in v.values()))
 
@@ -271,7 +266,7 @@ def table(m) -> Table:
             return ()
         return _flatten({k: _numerators(s, den) for k, s in v.items()}, d)
 
-    dims = tuple(sp.dim for sp in spaces)
+    dims = tuple(sp.dim for sp in m.spaces)
     compiled = Table(field, dims, den, _grid(dims, leaf))
     object.__setattr__(m, "_compiled", compiled)
     return compiled

@@ -283,7 +283,7 @@ def _lhs_fn(b):
     br, tw = b.bracket, b.twist
 
     def lhs(x, y, z):
-        return br(br.on_basis(x, y), tw.image_of_basis(z))
+        return br(br.on_basis(x, y), tw.on_basis(z))
 
     return lhs
 

@@ -306,8 +306,10 @@ def test_evenness_catches_odd_matrix_and_odd_entry():
     one = Scalar.one(sp.field)
     zero = Scalar.zero(sp.field)
     swap = EvenMap(sp, ((zero, one), (one, zero)))
+    # a twist map is unary: column j (args (j,)) with odd output component i
     rep = check_evenness(swap)
-    assert [v.args for v in rep.violations] == [(0, 1), (1, 0)]
+    assert [(v.args, v.note.split()[2]) for v in rep.violations] == [
+        ((0,), sp.name(1)), ((1,), sp.name(0))]
 
     # (odd, odd) lands in degree 0, so an odd output component violates
     odd = MultilinearMap.internal(sp, 2, {(0, 0): Vector(sp, {0: one})})

@@ -444,9 +444,9 @@ def test_derived_maps_match_vector_builds(monkeypatch, N, grading):
         out = constructions.twist_module(mb, power)
         t2n = alg.twist.power(2 * power)
         left = build((space, M), M, lambda x, n: mb.act_left(
-            t2n.image_of_basis(x), Vector.basis(M, n)))
+            t2n.on_basis(x), Vector.basis(M, n)))
         right = build((M, space), M, lambda n, x: mb.act_right(
-            Vector.basis(M, n), t2n.image_of_basis(x)))
+            Vector.basis(M, n), t2n.on_basis(x)))
         assert left.table and out.act_left == left
         assert right.table and out.act_right == right
 

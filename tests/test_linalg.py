@@ -1,11 +1,14 @@
 """Graded spaces, vectors, even maps, multilinear tables."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from genutil import COEFF_POOL, FIELD, random_even_map, random_setup
 from vector_laws import cyclic_sum
+from colorhom import tables
 from colorhom.errors import InputError
 from colorhom.fixtures import fixture
 from colorhom.grading import Bicharacter, GradingGroup, TRIVIAL_GROUP
@@ -156,10 +159,13 @@ def test_from_images_round_trip():
     ]
     m = EvenMap.from_images(sp, images)
     for j, img in enumerate(images):
-        assert m.image_of_basis(j) == img
+        assert m.on_basis(j) == img
     assert m(Vector(sp, {0: 2, 1: 3})) == images[0].scaled(
         Scalar.rational(F1, 2)
     ) + images[1].scaled(Scalar.rational(F1, 3))
+    for bad in (images[:2], images[:2] + [Vector.zero(trivial_space(2))]):
+        with pytest.raises(InputError, match="images"):
+            EvenMap.from_images(sp, bad)
 
 
 def test_even_map_evenness_detection():
@@ -177,6 +183,40 @@ def test_even_map_evenness_detection():
     assert not rep.passed
     assert rep.identity_id == "evenness"
     assert len(rep.violations) == 2
+
+
+def test_even_map_is_the_unary_multilinear_map():
+    """A twist map is the arity-1 MultilinearMap whose value at e_j is
+    column j: evaluation, f.compose(g) (f after g) and powers equal matrix
+    arithmetic, and it compiles to the table of the same map built as a
+    MultilinearMap."""
+    rng = random.Random(20)
+    zeta = Scalar.root(FIELD)
+    noncommuting = 0
+    for _ in range(40):
+        space, _ = random_setup(rng, max_dim=5)
+        n, zero = space.dim, Scalar.zero(FIELD)
+        f, g = random_even_map(rng, space), random_even_map(rng, space)
+        assert isinstance(f, MultilinearMap) and f.arity == 1
+        assert f.spaces == (space,) and f.codomain == space
+
+        def matmul(a, b):
+            return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(n)), zero)
+                               for j in range(n)) for i in range(n))
+
+        v = Vector(space, {j: Scalar.rational(FIELD, rng.choice(COEFF_POOL)) * zeta ** j
+                           for j in range(n) if rng.random() < 0.7})
+        assert f(v) == Vector(space, {i: sum((f.rows[i][j] * c for j, c in v.coeffs.items()),
+                                             zero) for i in range(n)})
+        fg, f3 = f.compose(g), f.power(3)
+        assert fg.rows == matmul(f.rows, g.rows)
+        assert f3.rows == matmul(f.rows, matmul(f.rows, f.rows))
+        noncommuting += fg.rows != matmul(g.rows, f.rows)
+        for m in (f, fg, f3):
+            columns = {(j,): Vector(space, {i: m.rows[i][j] for i in range(n)})
+                       for j in range(n)}
+            assert tables.table(m) == tables.table(MultilinearMap((space,), space, columns))
+    assert noncommuting > 5
 
 
 def test_multilinear_map_validation_and_evaluation():
@@ -222,6 +262,8 @@ def test_multilinear_evenness_detection():
     assert not rep.passed
     good = MultilinearMap.internal(sp, 2, {(0, 0): Vector.basis(sp, 1)})
     assert check_evenness(good).passed
+    with pytest.raises(InputError, match="cannot check evenness of Vector"):
+        check_evenness(Vector.basis(sp, 1))
 
 
 def test_commutator_map_trivial_grading():

@@ -149,6 +149,7 @@ def test_rational_arithmetic_is_fraction_arithmetic():
 
 @pytest.mark.parametrize("p, q, name", [
     (0.5, 1, "float"), ("1/2", 1, "str"), (None, 1, "NoneType"), (1, 2.0, "float"),
+    (1, 0, "0"), (1, Fraction(0), "0"),
 ])
 def test_rational_refuses_what_is_not_an_int_or_fraction(p, q, name):
     with pytest.raises(InputError, match=f"not {name}$"):

@@ -43,8 +43,8 @@ def cyclic_sum(expr, x, y, z):
 
 
 def _vector_associator(product, twist, x, y, z):
-    tx = twist.image_of_basis(x)
-    tz = twist.image_of_basis(z)
+    tx = twist.on_basis(x)
+    tz = twist.on_basis(z)
     return product(product.on_basis(x, y), tz) - product(tx, product.on_basis(y, z))
 
 
@@ -68,16 +68,16 @@ def _bracket_laws(b):
         [(i, j) for i in range(space.dim) for j in range(i, space.dim)], skew)
 
     def jacobi_term(x, y, z):
-        v = br(br.on_basis(x, y), tw.image_of_basis(z))
+        v = br(br.on_basis(x, y), tw.on_basis(z))
         return v.scaled(eps(deg(z), deg(x)))
 
     out["hom-jacobi"] = (list(space.tuples(3)), lambda key: cyclic_sum(jacobi_term, *key))
 
     def leibniz(key):
         x, y, z = key
-        lhs = br(tw.image_of_basis(x), br.on_basis(y, z))
-        rhs = br(br.on_basis(x, y), tw.image_of_basis(z)) + br(
-            tw.image_of_basis(y), br.on_basis(x, z)
+        lhs = br(tw.on_basis(x), br.on_basis(y, z))
+        rhs = br(br.on_basis(x, y), tw.on_basis(z)) + br(
+            tw.on_basis(y), br.on_basis(x, z)
         ).scaled(eps(deg(x), deg(y)))
         return lhs - rhs
 
@@ -88,14 +88,14 @@ def _bracket_laws(b):
     def symmetrized(key):
         x, y, z = key
         w = br.on_basis(x, y) + br.on_basis(y, x).scaled(eps(deg(x), deg(y)))
-        return br(w, tw.image_of_basis(z))
+        return br(w, tw.on_basis(z))
 
     def derived(key):
         x, y, z = key
-        lhs = comm(br.on_basis(x, y), tw.image_of_basis(z)) + comm(
-            tw.image_of_basis(y), br.on_basis(x, z)
+        lhs = comm(br.on_basis(x, y), tw.on_basis(z)) + comm(
+            tw.on_basis(y), br.on_basis(x, z)
         ).scaled(eps(deg(x), deg(y)))
-        rhs = br(tw.image_of_basis(x), comm.on_basis(y, z))
+        rhs = br(tw.on_basis(x), comm.on_basis(y, z))
         return lhs - rhs
 
     out["leibniz-symmetrized-action"] = (list(space.tuples(3)), symmetrized)
@@ -146,7 +146,7 @@ def _akivis_laws(b):
     deg = space.degree
 
     def lhs(x, y, z):
-        v = br(br.on_basis(x, y), tw.image_of_basis(z))
+        v = br(br.on_basis(x, y), tw.on_basis(z))
         return v.scaled(eps(deg(z), deg(x)))
 
     def rhs(x, y, z):
@@ -174,8 +174,8 @@ def _hom_associativity(product, twist):
 
     def defect(key):
         x, y, z = key
-        lhs = product(twist.image_of_basis(x), product.on_basis(y, z))
-        rhs = product(product.on_basis(x, y), twist.image_of_basis(z))
+        lhs = product(twist.on_basis(x), product.on_basis(y, z))
+        rhs = product(product.on_basis(x, y), twist.on_basis(z))
         return lhs - rhs
 
     return {"hom-associativity": (list(space.tuples(3)), defect)}
@@ -187,9 +187,9 @@ def _compatibility(b):
 
     def compat(key):
         x, y, z = key
-        lhs = br(tw.image_of_basis(x), mu.on_basis(y, z))
-        rhs = mu(br.on_basis(x, y), tw.image_of_basis(z)) + mu(
-            tw.image_of_basis(y), br.on_basis(x, z)
+        lhs = br(tw.on_basis(x), mu.on_basis(y, z))
+        rhs = mu(br.on_basis(x, y), tw.on_basis(z)) + mu(
+            tw.on_basis(y), br.on_basis(x, z)
         ).scaled(eps(deg(x), deg(y)))
         return lhs - rhs
 
@@ -198,7 +198,7 @@ def _compatibility(b):
 
 def _dialgebra_laws(b):
     L, R, tw = b.prod_left, b.prod_right, b.twist
-    t = tw.image_of_basis
+    t = tw.on_basis
     axioms = (
         lambda x, y, z: L(R.on_basis(x, y), t(z)) - R(t(x), L.on_basis(y, z)),
         lambda x, y, z: L(t(x), L.on_basis(y, z)) - L(L.on_basis(x, y), t(z)),
@@ -221,33 +221,33 @@ def _module_laws(mb):
 
     def twist_left(key):
         x, m = key
-        return tM(aL.on_basis(x, m)) - aL(tA.image_of_basis(x), tM.image_of_basis(m))
+        return tM(aL.on_basis(x, m)) - aL(tA.on_basis(x), tM.on_basis(m))
 
     def twist_right(key):
         m, x = key
-        return tM(aR.on_basis(m, x)) - aR(tM.image_of_basis(m), tA.image_of_basis(x))
+        return tM(aR.on_basis(m, x)) - aR(tM.on_basis(m), tA.on_basis(x))
 
     def bracket_left(key):
         x, y, m = key
-        lhs = aL(br.on_basis(x, y), tM.image_of_basis(m))
-        rhs = aL(tA.image_of_basis(x), aL.on_basis(y, m)) - aL(
-            tA.image_of_basis(y), aL.on_basis(x, m)
+        lhs = aL(br.on_basis(x, y), tM.on_basis(m))
+        rhs = aL(tA.on_basis(x), aL.on_basis(y, m)) - aL(
+            tA.on_basis(y), aL.on_basis(x, m)
         ).scaled(eps(dA(x), dA(y)))
         return lhs - rhs
 
     def bracket_right(key):
         x, y, m = key
-        lhs = aR(tM.image_of_basis(m), br.on_basis(x, y))
-        rhs = aR(aL.on_basis(x, m), tA.image_of_basis(y)) + aL(
-            tA.image_of_basis(x), aR.on_basis(m, y)
+        lhs = aR(tM.on_basis(m), br.on_basis(x, y))
+        rhs = aR(aL.on_basis(x, m), tA.on_basis(y)) + aL(
+            tA.on_basis(x), aR.on_basis(m, y)
         ).scaled(eps(dA(x), dM(m)))
         return lhs - rhs
 
     def mixed(key):
         x, m, y = key
-        lhs = aL(tA.image_of_basis(x), aR.on_basis(m, y))
-        rhs = aR(aL.on_basis(x, m), tA.image_of_basis(y)) + aR(
-            tM.image_of_basis(m), br.on_basis(x, y)
+        lhs = aL(tA.on_basis(x), aR.on_basis(m, y))
+        rhs = aR(aL.on_basis(x, m), tA.on_basis(y)) + aR(
+            tM.on_basis(m), br.on_basis(x, y)
         ).scaled(eps(dM(m), dA(x)))
         return lhs - rhs
 
