@@ -342,9 +342,13 @@ def check_evenness(m: MultilinearMap) -> CheckReport:
         raise InputError(f"cannot check evenness of {type(m).__name__}")
     violations = []
     *args, out = [[deg.coords for _, deg in sp.basis] for sp in (*m.spaces, m.codomain)]
-    canon = m.codomain.group.canon
+    canon, wants = m.codomain.group.canon, {}  # argument degrees -> their sum
     for key, value in m.table.items():
-        want = canon([sum(c) for c in zip(*[deg[i] for deg, i in zip(args, key)])])
+        degs = [deg[i] for deg, i in zip(args, key)]
+        slot = tuple(degs)
+        want = wants.get(slot)
+        if want is None:
+            want = wants[slot] = canon([sum(c) for c in zip(*degs)])
         for i in value.coeffs:
             if out[i] != want:
                 violations.append(

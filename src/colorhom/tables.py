@@ -31,21 +31,23 @@ is -eps(x,y) [t(y), [x,z]]: an argument is a key position p (e_k[p]),
 outer map is an operation, or a twist applied to one inner product: a
 twisted argument is the unary twist table read at key position p.
 Only ``term`` knows the layout: it picks the image table of the twisted
-argument, the flattened vector contracted with it and the copies of that
-vector's table scaled by the eps factors (``Table.signed``, built once
-per table and sign shape), and it computes the term's denominator.
-``law`` brings the terms over one common denominator and adds their
-integer products into one accumulator per basis tuple.  A nonzero
-accumulator is kept, split into its nonzero coordinates and over that
-denominator, as a ``Defect``: a scan's violation holds it, and a report
-writes each coefficient straight from the integers.  Only
-``Defect.vector`` normalizes, by the scalar kernel, into the exact
-Vector, when ``materialize`` builds a map or the library reads
-``Violation.defect``; both equal what Scalar arithmetic gives.
+argument and the flattened vector contracted with it, and it computes
+the term's denominator.  An eps factor stays one number per basis tuple:
+``law`` reads it at the key and folds a rational value into the term's
+integer scale, or multiplies a value with a zeta part into the picked
+vector, once per value and vector.  ``law`` brings the terms over one
+common denominator and adds their integer products into one accumulator
+per basis tuple.  A nonzero accumulator is kept, split into its nonzero
+coordinates and over that denominator, as a ``Defect``: a scan's
+violation holds it, and a report writes each coefficient straight from
+the integers.  Only ``Defect.vector`` normalizes, by the scalar kernel,
+into the exact Vector, when ``materialize`` builds a map or the library
+reads ``Violation.defect``; both equal what Scalar arithmetic gives.
 
-Field products happen only while compiling, through the scalar kernel's
-``product`` and ``times_zeta``: an integer convolution folded back by the
-rows of ``FieldDescriptor.reduction``, with no gcd.
+Field products happen only while compiling, or where an eps value has a
+zeta part, through the scalar kernel's ``product`` and ``times_zeta``: an
+integer convolution folded back by the rows of
+``FieldDescriptor.reduction``, with no gcd.
 
 A derived map is a law too, kept as a MultilinearMap by ``materialize``:
 the ``commutator`` (whose zero test is eps-commutativity), the
@@ -195,57 +197,6 @@ class Table(Record):
             self._memo["phases"] = tuple(sorted(found))
         return self._memo["phases"]
 
-    def scaled(self, nums, den):
-        """This table times the field scalar nums / den."""
-        if den == 1 and nums[0] == 1 and not any(nums[1:]):
-            return self
-        key = ("scaled", nums, den)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
-        field = self.field
-        d, red = field.degree, field.reduction
-        if not any(nums[1:]):  # a rational scalar scales every numerator alike
-            s = nums[0]
-
-            def scale(vec):
-                return tuple((p, s * c) for p, c in vec) if s else ()
-        else:
-            def scale(vec):
-                return _flatten(
-                    {k: _K.product(nums, c, red) for k, c in _unflatten(vec, d)}, d)
-
-        out = Table(field, self.dims, self.den * den,
-                    _map_grid(self.entries, len(self.dims), scale))
-        self._memo[key] = out
-        return out
-
-    def signed(self, shape):
-        """This table's entries times a product of eps values, for every
-        choice of basis indices: ``shape`` lists the factors
-        (signs, i, j) = eps(index i, index j), with the indices numbered
-        0, 1, ... in order of first appearance, and the grid nests one
-        tuple level per index.  Built once per shape, so the rotations of
-        a cyclic sum share it.  Returns (grid, denominator of the scale)."""
-        key = ("signed", shape)
-        hit = self._memo.get(key)
-        if hit is None:
-            ranges = {}  # from the spaces, so an empty basis gives an empty grid
-            for e, i, j in shape:
-                ranges[i], ranges[j] = e.dims
-            den, red = prod(e.den for e, _, _ in shape), self.field.reduction
-
-            def leaf(index):
-                nums = None
-                for e, i, j in shape:
-                    v = e.at[index[i]][index[j]]
-                    nums = v if nums is None else _K.product(nums, v, red)
-                return self.scaled(nums, den).entries
-
-            grid = _grid([ranges[i] for i in range(len(ranges))], leaf)
-            hit = self._memo[key] = (grid, den)
-        return hit
-
 
 def table(m) -> Table:
     """The compiled form of the MultilinearMap m, built at its first use
@@ -303,10 +254,14 @@ _PICK = (
     lambda g, a: lambda k: g[k[a]],
     lambda g, a, b: lambda k: g[k[a]][k[b]],
     lambda g, a, b, c: lambda k: g[k[a]][k[b]][k[c]],
-    lambda g, a, b, c, e: lambda k: g[k[a]][k[b]][k[c]][k[e]],
-    lambda g, a, b, c, e, f: lambda k: g[k[a]][k[b]][k[c]][k[e]][k[f]],
-    lambda g, a, b, c, e, f, h: lambda k: g[k[a]][k[b]][k[c]][k[e]][k[f]][k[h]],
 )
+
+
+def _values(e: Signs):
+    """e's values as ``law`` reads them: the numerator n where a value is
+    rational, (n, 0, .., 0), and the numerator tuple where it has a zeta
+    part, both over e.den."""
+    return tuple([tuple([v if any(v[1:]) else v[0] for v in row]) for row in e.at])
 
 
 def term(sign, outer, *args, eps=()):
@@ -319,7 +274,8 @@ def term(sign, outer, *args, eps=()):
     binary outer with a twisted argument takes one other argument, and
     an outer of any other arity takes key positions only.  ``eps`` lists
     factors (signs, p, q) = eps(deg k[p], deg k[q]) with signs from
-    ``signs``.  For example
+    ``signs``; ``law`` multiplies them in at each key, so the term keeps
+    its source table as it is.  For example
     term(-1, B, (t, 1), (B, 0, 2), eps=[(E, 0, 1)]) is
     -eps(x,y) [t(y), [x,z]]."""
     d, rows, at, rows_den = outer.field.degree, None, None, 1
@@ -347,15 +303,9 @@ def term(sign, outer, *args, eps=()):
         n = outer.dims[1 - i]
         source = (Table(outer.field, (n,), 1, tuple(((k * d, 1),) for k in range(n))), source)
     table, positions = source[0], source[1:]
-    grid, eps_den = table.entries, 1
-    if eps:
-        # the key positions of the factors, in order of first appearance
-        index = list(dict.fromkeys(r for _, p, q in eps for r in (p, q)))
-        grid, eps_den = table.signed(
-            tuple([(e, index.index(p), index.index(q)) for e, p, q in eps]))
-        positions = (*index, *positions)
-    return (sign, table.den * eps_den * rows_den,
-            _PICK[len(positions)](grid, *positions), rows, at)
+    return (sign, table.den * prod(e.den for e, _, _ in eps) * rows_den,
+            _PICK[len(positions)](table.entries, *positions), rows, at,
+            tuple([(_values(e), p, q) for e, p, q in eps]))
 
 
 def commutator(op, bichar):
@@ -368,28 +318,49 @@ def commutator(op, bichar):
 def law(space, *terms):
     """defect(key) -> the sum of the terms (``term``) at basis tuple key
     as a ``Defect``, or None when it is zero.  A term is (sign, den, pick,
-    rows, at): pick(key) gives a flattened vector v, contracted with the
-    images u = rows[key[at]] (rows itself when at is None) into
+    rows, at, factors): pick(key) gives a flattened vector v, times each
+    eps factor (values, p, q) at key, values[key[p]][key[q]], contracted
+    with the images u = rows[key[at]] (rows itself when at is None) into
     sign * sum_q v[q] * u[q] / den, or taken as it is when rows is None.
-    The terms are brought over one common denominator and summed in one
-    integer accumulator."""
-    d = space.field.degree
+    A rational factor joins the integer scale; one with a zeta part
+    multiplies v by the kernel's ``product``, once per factor value and
+    vector for the life of the law.  The terms are brought over one
+    common denominator and summed in one integer accumulator."""
+    field = space.field
+    d, red = field.degree, field.reduction
     n, zero = space.dim * d, (0,) * d
     common = lcm(*(den for _, den, *_ in terms))
-    plan = [(sign * (common // den), pick, rows, at) for sign, den, pick, rows, at in terms]
+    plan = [(sign * (common // den), *rest) for sign, den, *rest in terms]
+    # (value, id(vector)) -> value * vector; a vector is a table entry, or
+    # a value here, so it lives as long as the law and its id stays its own
+    zeta = {}
 
     def defect(key):
         acc = [0] * n
-        for scale, pick, rows, at in plan:
+        for scale, pick, rows, at, factors in plan:
+            v = pick(key)
+            if not v:
+                continue
+            for values, p, q in factors:
+                f = values[key[p]][key[q]]
+                if type(f) is int:
+                    scale *= f
+                    continue
+                slot = (f, id(v))
+                hit = zeta.get(slot)
+                if hit is None:
+                    hit = zeta[slot] = _flatten(
+                        {k: _K.product(f, c, red) for k, c in _unflatten(v, d)}, d)
+                v = hit
             if rows is None:  # no images: the term is v itself
-                for q, c in pick(key):
+                for q, c in v:
                     acc[q] += scale * c
                 continue
             images = rows if at is None else rows[key[at]]
-            for q, c in pick(key):
+            for q, c in v:
                 c *= scale
-                for p, v in images[q]:
-                    acc[p] += c * v
+                for p, u in images[q]:
+                    acc[p] += c * u
         if not any(acc):
             return None
         return Defect(space, tuple((k, nums) for k, nums in enumerate(zip(*[iter(acc)] * d))

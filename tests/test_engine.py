@@ -13,10 +13,12 @@
 Random bundles cover the fields Q (N=1), Q(i) (N=4) and Q(zeta_12)
 (N=12); trivial, Z2xZ2 (signs +-1), Z4xZ4 (signs +-i) and free rank-2
 gradings whose bicharacter has entries 2 and 1/2 (so eps has
-denominators); twist maps with fractional entries; tables and twists
-with rational values over Q(i) and Q(zeta_12); modules whose dimension
-differs from the algebra's; and both passing bundles and bundles with
-one planted +1 in a structure constant.
+denominators) or, over Q(i) and Q(zeta_12), 1+zeta and its inverse (so
+eps has a zeta part and is no root of unity, and a two-factor eps
+multiplies two such values); twist maps with fractional entries; tables
+and twists with rational values over Q(i) and Q(zeta_12); modules whose
+dimension differs from the algebra's; and both passing bundles and
+bundles with one planted +1 in a structure constant.
 """
 
 import functools
@@ -63,17 +65,23 @@ GRADINGS = {
         [(0, 0), (1, 0), (0, 1), (1, 1)],
         lambda F: ((1, 2), (Fraction(1, 2), 1)),
     ),
+    "free2-zeta": (
+        GradingGroup(2, ()),
+        [(0, 0), (1, 0), (0, 1), (1, 1)],
+        lambda F: ((1, 1 + Scalar.root(F)), ((1 + Scalar.root(F)).inverse(), 1)),
+    ),
 }
 
 # dimension 4 puts every degree of the pool in the space, so that every
 # value of the bicharacter meets nonzero entries; the trivial grading has
 # one sign and dense tables, so 3 is enough there
-DIM = {"trivial": 3, "z2xz2": 4, "z4xz4": 4, "free2": 4}
+DIM = {"trivial": 3, "z2xz2": 4, "z4xz4": 4, "free2": 4, "free2-zeta": 4}
 
 CASES = [
     (1, "trivial"), (1, "z2xz2"), (1, "free2"),
     (4, "z2xz2"), (4, "z4xz4"), (4, "free2"),
     (12, "trivial"), (12, "z2xz2"), (12, "z4xz4"), (12, "free2"),
+    (4, "free2-zeta"), (12, "free2-zeta"),
 ]
 
 # rational tables and twists under the +-1 and the +-i bicharacter: a
