@@ -7,19 +7,24 @@ n*d integer numerators over one positive denominator, position k*d + t
 holding the zeta**t coefficient of coordinate k.  A K-multilinear map is
 Q-multilinear, so every law becomes a sum of integer products:
 
-* ``Table``: an operation, with the flattened value of every basis
-  tuple as (position, numerator) pairs over the table's denominator.  A
-  twist map alpha is a unary map, so it compiles to a unary Table, entry
-  j the flattened alpha(e_j); ``Table.columns`` gives its column
-  zeta**t * alpha(e_j) for each position q = j*d + t;
-* ``Table.images``: the twisted images L[x][q] = O(alpha e_x, zeta**t e_b)
-  and R[z][q] = O(zeta**t e_a, alpha e_z), so that, for example,
-  O(alpha e_x, I(e_y, e_z)) = sum_q I[y][z][q] * L[x][q].  Like
-  ``columns``, it builds column q = b*d + t only for the phases t that the
-  contracted vector (I[y][z]) can fill: 0 for a basis vector, its table's
-  own under rational eps, else all d; the others are never read and stay ();
-* ``Signs``: the values eps(deg i, deg j) over their own denominator,
-  built once per bicharacter and pair of spaces (``signs``).
+* ``Table``: an operation, compiled once from its nonzero values: the
+  flattened value of every basis tuple as (position, numerator) pairs
+  over the table's denominator, and the zeta-phases t those values fill.
+  A twist map alpha is a unary map, so it compiles to a unary Table,
+  entry j the flattened alpha(e_j);
+* contraction rows (den, rows), which a Table derives and keeps:
+  ``Table.columns`` gives column zeta**t * alpha(e_j) of a unary table
+  for each position q = j*d + t, and ``Table.images`` the twisted images
+  L[x][q] = O(alpha e_x, zeta**t e_b) and R[z][q] = O(zeta**t e_a, alpha e_z)
+  of a binary one, so that, for example,
+  O(alpha e_x, I(e_y, e_z)) = sum_q I[y][z][q] * L[x][q].  Both build
+  column q = b*d + t only for the phases t that the contracted vector
+  (I[y][z]) can fill: 0 for a basis vector, its table's own under
+  rational eps, else all d; the others are never read and stay ();
+* ``Signs``: the values eps(deg i, deg j) over their own denominator, in
+  the form ``law`` reads them: the numerator n of a rational value, the
+  numerator tuple of one with a zeta part; built once per bicharacter
+  and pair of spaces (``signs``).
 
 A law is a sum of terms, each written with ``term`` the way the paper
 writes it.  On basis tuples k = (x, y, z),
@@ -30,23 +35,25 @@ is -eps(x,y) [t(y), [x,z]]: an argument is a key position p (e_k[p]),
 (twist, p) (t e_k[p]) or (inner, p, q) (inner(e_k[p], e_k[q])), and the
 outer map is an operation, or a twist applied to one inner product: a
 twisted argument is the unary twist table read at key position p.
-Only ``term`` knows the layout: it picks the image table of the twisted
-argument and the flattened vector contracted with it, and it computes
-the term's denominator.  An eps factor stays one number per basis tuple:
-``law`` reads it at the key and folds a rational value into the term's
-integer scale, or multiplies a value with a zeta part into the picked
-vector, once per value and vector.  ``law`` brings the terms over one
-common denominator and adds their integer products into one accumulator
-per basis tuple.  A nonzero accumulator is kept, split into its nonzero
+Only ``term`` knows the layout: it picks the contraction rows of the
+twisted argument and the flattened vector contracted with them, and it
+computes the term's denominator.  An eps factor stays one number per
+basis tuple: ``law`` reads it at the key and folds a rational value into
+the term's integer scale, or multiplies a value with a zeta part into
+the picked vector, once per value and vector.  ``law`` brings the terms
+over one common denominator and adds their integer products into one
+accumulator per basis tuple, allocated at the first term that reads a
+nonzero vector there: a key where no term reads data costs no
+accumulator.  A nonzero accumulator is kept, split into its nonzero
 coordinates and over that denominator, as a ``Defect``: a scan's
 violation holds it, and a report writes each coefficient straight from
 the integers.  Only ``Defect.vector`` normalizes, by the scalar kernel,
 into the exact Vector, when ``materialize`` builds a map or the library
 reads ``Violation.defect``; both equal what Scalar arithmetic gives.
 
-Field products happen only while compiling, or where an eps value has a
-zeta part, through the scalar kernel's ``product`` and ``times_zeta``: an
-integer convolution folded back by the rows of
+Field products happen only while building contraction rows, or where an
+eps value has a zeta part, through the scalar kernel's ``product`` and
+``times_zeta``: an integer convolution folded back by the rows of
 ``FieldDescriptor.reduction``, with no gcd.
 
 A derived map is a law too, kept as a MultilinearMap by ``materialize``:
@@ -96,12 +103,6 @@ def _grid(dims, leaf, prefix=()):
     return tuple([_grid(dims[1:], leaf, prefix + (i,)) for i in range(dims[0])])
 
 
-def _map_grid(grid, depth, fn):
-    if not depth:
-        return fn(grid)
-    return tuple([_map_grid(g, depth - 1, fn) for g in grid])
-
-
 def _rotations(vectors, d, red, phases):
     """[v, ..], each v [(coordinate, numerator tuple)] -> for each v and
     t = 0, .., d-1 in turn, the flattened zeta**t * v if t is in phases,
@@ -127,24 +128,26 @@ def _rotations(vectors, d, red, phases):
 class Table(Record):
     """A compiled multilinear map: ``entries`` nests one tuple level per
     argument, each leaf the flattened value of that basis tuple over
-    ``den``.  ``_memo`` caches the tables and grids derived from it."""
+    ``den``, and ``phases`` lists the zeta-phases t of the positions
+    k*d + t those leaves fill, sorted.  ``_memo`` caches the contraction
+    rows derived from it."""
 
-    FIELDS = ("field", "dims", "den", "entries")
+    FIELDS = ("field", "dims", "den", "entries", "phases")
     __slots__ = FIELDS + ("_memo",)
 
     def __post_init__(self):
         object.__setattr__(self, "_memo", {})
 
     def images(self, twist: "Table", arg, phases):
-        """Twisted images of a binary operation as a Table whose rows are
-        indexed by the basis of the twisted argument ``arg`` (0 or 1) and
-        whose columns are the flattened positions of the other argument:
-        row x, column q = b*d + t holds O(twist e_x, zeta**t e_b) for
-        arg 0 and O(zeta**t e_b, twist e_x) for arg 1, twist a unary
-        table.  It builds the columns of the zeta-phases t in ``phases``
-        and of those an earlier call built, so one table serves both; the
-        others are (): a contraction reads column q only where its source
-        is nonzero, and ``term`` passes every phase that source fills."""
+        """Contraction rows (den, rows) for the twisted images of a binary
+        operation, twist a unary table and ``arg`` (0 or 1) the twisted
+        argument: row x, column q = b*d + t of rows is the flattened
+        O(twist e_x, zeta**t e_b) for arg 0 and O(zeta**t e_b, twist e_x)
+        for arg 1, over den.  It builds the columns of the zeta-phases t
+        in ``phases`` and of those an earlier call built, so one set of
+        rows serves both; the others are (): a contraction reads column q
+        only where its source is nonzero, and ``term`` passes every phase
+        that source fills."""
         key = ("images", arg, id(twist))
         hit = self._memo.get(key)
         if hit is not None and set(phases) <= set(hit[1]):
@@ -154,7 +157,8 @@ class Table(Record):
         d, red = field.degree, field.reduction
         coords = self._memo.get("coords")  # shared by the builds for both arguments
         if coords is None:
-            coords = self._memo["coords"] = _map_grid(self.entries, 2, lambda v: _unflatten(v, d))
+            coords = self._memo["coords"] = tuple(
+                [tuple([_unflatten(v, d) for v in row]) for row in self.entries])
         other = self.dims[1 - arg]
         rows = []
         for x in range(self.dims[arg]):
@@ -170,64 +174,55 @@ class Table(Record):
                         old = value.get(k)
                         value[k] = o if old is None else [u + v for u, v in zip(old, o)]
             rows.append(tuple(_rotations([v.items() for v in values], d, red, phases)))
-        out = Table(field, (self.dims[arg], other * d), self.den * twist.den, tuple(rows))
+        out = (self.den * twist.den, tuple(rows))
         self._memo[key] = (twist, phases, out)
         return out
 
     def columns(self, phases):
-        """The images of a unary table T at the flattened positions, as a
-        unary Table over T's denominator: column q = j*d + t is the
-        flattened zeta**t * T(e_j), so that T applied to a flattened vector
-        v is sum_q v[q] * columns[q].  As in ``images``, only the columns
-        of the phases t in ``phases`` are built, the others are (); one
-        table is kept per set of phases."""
+        """Contraction rows (den, columns) of a unary table T over T's
+        denominator: column q = j*d + t is the flattened zeta**t * T(e_j),
+        so that T applied to a flattened vector v is
+        sum_q v[q] * columns[q].  As in ``images``, only the columns of
+        the phases t in ``phases`` are built, the others are (); one set
+        is kept per set of phases."""
         key = ("columns", phases)
         hit = self._memo.get(key)
         if hit is None:
             d, red = self.field.degree, self.field.reduction
-            cols = tuple(_rotations([_unflatten(v, d) for v in self.entries], d, red, phases))
-            hit = self._memo[key] = Table(self.field, (len(cols),), self.den, cols)
+            hit = self._memo[key] = (self.den, tuple(
+                _rotations([_unflatten(v, d) for v in self.entries], d, red, phases)))
         return hit
-
-    def phases(self):
-        """The zeta-phases t of the positions k*d + t its entries fill, sorted."""
-        if "phases" not in self._memo:
-            d, found = self.field.degree, set()
-            _map_grid(self.entries, len(self.dims), lambda v: found.update(p % d for p, _ in v))
-            self._memo["phases"] = tuple(sorted(found))
-        return self._memo["phases"]
 
 
 def table(m) -> Table:
     """The compiled form of the MultilinearMap m, built at its first use
-    and kept in m's ``_compiled`` slot.  A twist map alpha, an EvenMap, is
-    unary, so its table's entry j is alpha(e_j)."""
+    and kept in m's ``_compiled`` slot: its nonzero values are flattened
+    once, and both the dense entries and the phases are read from them.
+    A twist map alpha, an EvenMap, is unary, so its table's entry j is
+    alpha(e_j)."""
     try:
         return m._compiled
     except AttributeError:
         pass
     field = m.codomain.field
-    values = {key: v.coeffs for key, v in m.table.items()}
     d = field.degree
-    den = lcm(1, *(s.den for v in values.values() for s in v.values()))
-
-    def leaf(key):
-        v = values.get(key)
-        if not v:
-            return ()
-        return _flatten({k: _numerators(s, den) for k, s in v.items()}, d)
-
+    den = lcm(1, *(s.den for v in m.table.values() for s in v.coeffs.values()))
+    flat = {key: _flatten({k: _numerators(s, den) for k, s in v.coeffs.items()}, d)
+            for key, v in m.table.items()}
     dims = tuple(sp.dim for sp in m.spaces)
-    compiled = Table(field, dims, den, _grid(dims, leaf))
+    phases = tuple(sorted({p % d for v in flat.values() for p, _ in v}))
+    compiled = Table(field, dims, den, _grid(dims, lambda key: flat.get(key, ())), phases)
     object.__setattr__(m, "_compiled", compiled)
     return compiled
 
 
 class Signs(Record):
-    """eps(deg i, deg j) for basis index i of space a and j of space b:
-    ``at[i][j]`` is its numerator tuple over ``den``."""
+    """eps(deg i, deg j) for basis index i of space a and j of space b,
+    over ``den``, in the form ``law`` reads: ``at[i][j]`` is the int
+    numerator of a rational value and the numerator tuple of one with a
+    zeta part; ``rational`` says that every value is rational."""
 
-    __slots__ = FIELDS = ("dims", "den", "at")
+    __slots__ = FIELDS = ("dims", "den", "at", "rational")
 
 
 def signs(bichar, a, b) -> Signs:
@@ -238,8 +233,10 @@ def signs(bichar, a, b) -> Signs:
         values = [[bichar(a.degree(i), b.degree(j)) for j in range(b.dim)]
                   for i in range(a.dim)]
         den = lcm(1, *(s.den for row in values for s in row))
-        hit = bichar._compiled[a, b] = Signs((a.dim, b.dim), den, tuple(
-            tuple(_numerators(s, den) for s in row) for row in values))
+        nums = [[_numerators(s, den) for s in row] for row in values]
+        at = tuple([tuple([v if any(v[1:]) else v[0] for v in row]) for row in nums])
+        hit = bichar._compiled[a, b] = Signs(
+            (a.dim, b.dim), den, at, all(type(v) is int for row in at for v in row))
     return hit
 
 
@@ -257,13 +254,6 @@ _PICK = (
 )
 
 
-def _values(e: Signs):
-    """e's values as ``law`` reads them: the numerator n where a value is
-    rational, (n, 0, .., 0), and the numerator tuple where it has a zeta
-    part, both over e.den."""
-    return tuple([tuple([v if any(v[1:]) else v[0] for v in row]) for row in e.at])
-
-
 def term(sign, outer, *args, eps=()):
     """The law term sign * eps(..) * .. * outer(*args) on basis tuples k.
 
@@ -275,8 +265,12 @@ def term(sign, outer, *args, eps=()):
     an outer of any other arity takes key positions only.  ``eps`` lists
     factors (signs, p, q) = eps(deg k[p], deg k[q]) with signs from
     ``signs``; ``law`` multiplies them in at each key, so the term keeps
-    its source table as it is.  For example
-    term(-1, B, (t, 1), (B, 0, 2), eps=[(E, 0, 1)]) is
+    its source table as it is.  The source contracted with the rows of
+    the twisted argument, or with a unary outer's columns, is a Table
+    read at key positions; a basis vector becomes the unary table of the
+    basis, with phase 0 alone.  The rows are built for the source's
+    phases, or for every phase when an eps value has a zeta part.  For
+    example term(-1, B, (t, 1), (B, 0, 2), eps=[(E, 0, 1)]) is
     -eps(x,y) [t(y), [x,z]]."""
     d, rows, at, rows_den = outer.field.degree, None, None, 1
     if len(outer.dims) == 1:
@@ -288,24 +282,19 @@ def term(sign, outer, *args, eps=()):
                 break
         else:  # one table entry, itself the value
             source = (outer, *args)
+    if isinstance(source, int):  # the basis vector e_k[p] of outer's argument 1 - i
+        n = outer.dims[1 - i]
+        basis = tuple(((k * d, 1),) for k in range(n))  # numerator 1 at phase 0
+        source = (Table(outer.field, (n,), 1, basis, (0,)), source)
+    table, positions = source[0], source[1:]
     if len(outer.dims) == 1 or at is not None:
         # the zeta-phases the contracted source can fill: an eps with a zeta
         # part moves a coefficient into every phase, a rational one keeps it
-        if any(any(v[1:]) for e, _, _ in eps for row in e.at for v in row):
-            phases = tuple(range(d))
-        elif isinstance(source, int):  # a basis vector: numerator 1 at phase 0
-            phases = (0,)
-        else:
-            phases = source[0].phases()
-        images = outer.columns(phases) if at is None else outer.images(tw, i, phases)
-        rows, rows_den = images.entries, images.den
-    if isinstance(source, int):  # the basis vector e_k[p] of outer's argument 1 - i
-        n = outer.dims[1 - i]
-        source = (Table(outer.field, (n,), 1, tuple(((k * d, 1),) for k in range(n))), source)
-    table, positions = source[0], source[1:]
+        phases = table.phases if all(e.rational for e, _, _ in eps) else tuple(range(d))
+        rows_den, rows = outer.columns(phases) if at is None else outer.images(tw, i, phases)
     return (sign, table.den * prod(e.den for e, _, _ in eps) * rows_den,
             _PICK[len(positions)](table.entries, *positions), rows, at,
-            tuple([(_values(e), p, q) for e, p, q in eps]))
+            tuple([(e.at, p, q) for e, p, q in eps]))
 
 
 def commutator(op, bichar):
@@ -319,13 +308,15 @@ def law(space, *terms):
     """defect(key) -> the sum of the terms (``term``) at basis tuple key
     as a ``Defect``, or None when it is zero.  A term is (sign, den, pick,
     rows, at, factors): pick(key) gives a flattened vector v, times each
-    eps factor (values, p, q) at key, values[key[p]][key[q]], contracted
-    with the images u = rows[key[at]] (rows itself when at is None) into
-    sign * sum_q v[q] * u[q] / den, or taken as it is when rows is None.
-    A rational factor joins the integer scale; one with a zeta part
-    multiplies v by the kernel's ``product``, once per factor value and
-    vector for the life of the law.  The terms are brought over one
-    common denominator and summed in one integer accumulator."""
+    eps factor (values, p, q) at key, values[key[p]][key[q]] in the form
+    of ``Signs.at``, contracted with the images u = rows[key[at]] (rows
+    itself when at is None) into sign * sum_q v[q] * u[q] / den, or taken
+    as it is when rows is None.  A rational factor joins the integer
+    scale; one with a zeta part multiplies v by the kernel's ``product``,
+    once per factor value and vector for the life of the law.  The terms
+    are brought over one common denominator and summed in one integer
+    accumulator, allocated at the first term whose v is nonzero: at a key
+    where every v is empty, defect allocates and tests nothing."""
     field = space.field
     d, red = field.degree, field.reduction
     n, zero = space.dim * d, (0,) * d
@@ -336,7 +327,7 @@ def law(space, *terms):
     zeta = {}
 
     def defect(key):
-        acc = [0] * n
+        acc = None
         for scale, pick, rows, at, factors in plan:
             v = pick(key)
             if not v:
@@ -352,6 +343,8 @@ def law(space, *terms):
                     hit = zeta[slot] = _flatten(
                         {k: _K.product(f, c, red) for k, c in _unflatten(v, d)}, d)
                 v = hit
+            if acc is None:
+                acc = [0] * n
             if rows is None:  # no images: the term is v itself
                 for q, c in v:
                     acc[q] += scale * c
@@ -361,7 +354,7 @@ def law(space, *terms):
                 c *= scale
                 for p, u in images[q]:
                     acc[p] += c * u
-        if not any(acc):
+        if acc is None or not any(acc):
             return None
         return Defect(space, tuple((k, nums) for k, nums in enumerate(zip(*[iter(acc)] * d))
                                    if nums != zero), common)

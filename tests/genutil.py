@@ -441,3 +441,58 @@ def same_defect(F, vec, oracle_vec_dict):
         if not F.is_zero(F.sub(a, b)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the universal instance: the free color Hom-algebra on x, y, z, truncated
+# to the words whose bases are distinct
+
+
+UNIVERSAL_LETTERS = ("x", "y", "z", "αx", "αy", "αz")
+UNIVERSAL_Q = (2, 3, 5)  # eps(e_x, e_y), eps(e_x, e_z), eps(e_y, e_z)
+
+
+def word_bases(w):
+    """The bases of a word, in order: a letter is a str, a product a pair."""
+    return w[-1] if isinstance(w, str) else word_bases(w[0]) + word_bases(w[1])
+
+
+def word_name(w):
+    return w if isinstance(w, str) else f"({word_name(w[0])}*{word_name(w[1])})"
+
+
+def universal_words():
+    """The 126 words: the six letters, and every nonassociative word of two
+    or three letters whose bases are distinct (24 and 96 of them)."""
+    pairs = [(u, v) for u in UNIVERSAL_LETTERS for v in UNIVERSAL_LETTERS
+             if u[-1] != v[-1]]
+    triples = [w for u in UNIVERSAL_LETTERS for v in pairs if u[-1] not in word_bases(v)
+               for w in ((u, v), (v, u))]
+    return [*UNIVERSAL_LETTERS, *pairs, *triples]
+
+
+def universal_instance():
+    """(words, NonAssocBundle) of the universal instance over Q: the basis is
+    universal_words(), graded by Z^3 (e_x, e_y, e_z summed over a word's
+    bases); the product concatenates two words with disjoint bases and is 0
+    otherwise; the twist sends x, y, z to their alpha-letters and every other
+    word to 0.  The bicharacter takes the values UNIVERSAL_Q off the
+    diagonal and 1 on it."""
+    field = cyclotomic_field(1)
+    group = GradingGroup(3, ())
+    words = universal_words()
+    index = {w: i for i, w in enumerate(words)}
+    space = GradedSpace.build(field, group, [
+        (word_name(w), tuple(word_bases(w).count(b) for b in "xyz")) for w in words])
+    one = Scalar.one(field)
+    product = MultilinearMap.internal(space, 2, {
+        (i, j): Vector(space, {index[u, v]: one})
+        for u, i in index.items() for v, j in index.items()
+        if not set(word_bases(u)) & set(word_bases(v))})
+    twist = EvenMap.from_images(space, [
+        Vector(space, {index["α" + w]: one} if w in ("x", "y", "z") else {}) for w in words])
+    qxy, qxz, qyz = map(Fraction, UNIVERSAL_Q)
+    matrix = ((1, qxy, qxz), (1 / qxy, 1, qyz), (1 / qxz, 1 / qyz, 1))
+    bichar = Bicharacter(group, field, tuple(
+        tuple(Scalar.rational(field, c) for c in row) for row in matrix))
+    return words, NonAssocBundle(space, bichar, product, twist)
