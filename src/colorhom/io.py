@@ -87,14 +87,28 @@ def _get(doc, key, path, types):
     return value
 
 
-def _parse_scalar(field, data, path):
+def _parse_scalar(field, data, path, memo):
+    """scalar_from_text, once per distinct text of a document: memo maps
+    a valid text's hashable form (the str over Q, the tuple of its
+    strings otherwise) to its Scalar.  A malformed text is never stored,
+    so each error names the path of the text it occurs at, and a text with
+    an unhashable item is parsed, and refused, uncached."""
+    key = tuple(data) if isinstance(data, list) else data
     try:
-        return scalar_from_text(field, data)
-    except InputError as e:
-        _fail(path, str(e))
+        hit = memo.get(key)
+    except TypeError:  # an unhashable item: no key
+        key = hit = None
+    if hit is None:
+        try:
+            hit = scalar_from_text(field, data)
+        except InputError as e:
+            _fail(path, str(e))
+        if key is not None:
+            memo[key] = hit
+    return hit
 
 
-def _parse_header(doc, path):
+def _parse_header(doc, path, memo):
     """An algebra document's bicharacter, which carries its field and group."""
     fdoc = _get(doc, "field", path, dict)
     order = _get(fdoc, "cyclotomic_order", f"{path}.field", int)
@@ -117,7 +131,7 @@ def _parse_header(doc, path):
         _fail(f"{path}.bicharacter", f"must be a {group.rank}x{group.rank} matrix")
     matrix = tuple(
         tuple(
-            _parse_scalar(field, e, f"{path}.bicharacter[{i}][{j}]")
+            _parse_scalar(field, e, f"{path}.bicharacter[{i}][{j}]", memo)
             for j, e in enumerate(row)
         )
         for i, row in enumerate(bmat)
@@ -155,7 +169,7 @@ def _index_keys(dim):
     return {str(i): i for i in range(dim)}
 
 
-def _parse_vector(space, data, path):
+def _parse_vector(space, data, path, memo):
     if not isinstance(data, dict):
         _fail(path, "expected an index -> scalar object")
     indices = _index_keys(space.dim)
@@ -167,11 +181,11 @@ def _parse_vector(space, data, path):
                 _fail(path, f"basis index {key} out of range 0..{space.dim - 1}")
             _fail(path, f"malformed basis index {key!r} "
                         "(expected ASCII digits without sign or leading zeros)")
-        coeffs[i] = _parse_scalar(space.field, text, f"{path}.{key}")
+        coeffs[i] = _parse_scalar(space.field, text, f"{path}.{key}", memo)
     return Vector(space, coeffs)
 
 
-def _parse_table(spaces, codomain, entries, path):
+def _parse_table(spaces, codomain, entries, path, memo):
     if not isinstance(entries, list):
         _fail(path, "expected a list of entries")
     table = {}
@@ -189,11 +203,11 @@ def _parse_table(spaces, codomain, entries, path):
         if key in table:
             _fail(f"{here}.args", f"duplicate entry for {key}")
         out = _get(entry, "out", here, dict)
-        table[key] = _parse_vector(codomain, out, f"{here}.out")
+        table[key] = _parse_vector(codomain, out, f"{here}.out", memo)
     return MultilinearMap(spaces, codomain, table)
 
 
-def _parse_matrix(space, rows, path):
+def _parse_matrix(space, rows, path, memo):
     if (
         not isinstance(rows, list)
         or len(rows) != space.dim
@@ -202,7 +216,7 @@ def _parse_matrix(space, rows, path):
         _fail(path, f"expected a {space.dim}x{space.dim} matrix")
     parsed = tuple(
         tuple(
-            _parse_scalar(space.field, e, f"{path}[{i}][{j}]")
+            _parse_scalar(space.field, e, f"{path}[{i}][{j}]", memo)
             for j, e in enumerate(row)
         )
         for i, row in enumerate(rows)
@@ -210,10 +224,10 @@ def _parse_matrix(space, rows, path):
     return EvenMap(space, parsed)
 
 
-def _parse_extra_map(space, rows, path):
+def _parse_extra_map(space, rows, path, memo):
     """A map riding along with a bundle; the bundle constructors check
     evenness of the maps they hold, so only these are checked here."""
-    m = _parse_matrix(space, rows, path)
+    m = _parse_matrix(space, rows, path, memo)
     rep = check_evenness(m)
     if not rep.passed:
         _fail(path, rep.violations[0].describe())
@@ -222,7 +236,13 @@ def _parse_extra_map(space, rows, path):
 
 def parse_document(doc) -> ParsedDocument:
     """Validate a bundle document and build the in-memory bundle.  Raises
-    InputError naming the offending path on the first problem found."""
+    InputError naming the offending path on the first problem found.
+    Each distinct scalar text is parsed once per call, an embedded
+    algebra's texts included; nothing is kept across calls."""
+    return _parse_document(doc, {})
+
+
+def _parse_document(doc, memo):
     if not isinstance(doc, dict):
         raise InputError("document: expected a JSON object")
     schema = _get(doc, "schema", "document", str)
@@ -234,7 +254,7 @@ def parse_document(doc) -> ParsedDocument:
     bundle_type = BUNDLE_TYPES[kind]
 
     if kind == "module":
-        parsed = parse_document(_get(doc, "algebra", "document", dict))
+        parsed = _parse_document(_get(doc, "algebra", "document", dict), memo)
         algebra = parsed.bundle
         if algebra.kind != "leibniz":
             _fail("document.algebra.kind", "module documents embed a leibniz algebra")
@@ -244,7 +264,7 @@ def parse_document(doc) -> ParsedDocument:
         space = _parse_basis(doc, "document", aspace.field, aspace.group)
         head, spaces = (algebra, space), {"S": space, "A": aspace}
     else:
-        bichar = _parse_header(doc, "document")
+        bichar = _parse_header(doc, "document", memo)
         space = _parse_basis(doc, "document", bichar.field, bichar.group)
         head, spaces = (space, bichar), {"S": space}
 
@@ -253,21 +273,21 @@ def parse_document(doc) -> ParsedDocument:
     for name, _, args in bundle_type.OPS:
         entries = _get(ops_doc, name, "document.ops", list)
         ops[name] = _parse_table(tuple(spaces[s] for s in args), space, entries,
-                                 f"document.ops.{name}")
+                                 f"document.ops.{name}", memo)
     for name in ops_doc:
         if name not in ops:
             _fail(f"document.ops.{name}", f"unexpected operation for kind {kind!r}")
     maps_doc = _get(doc, "maps", "document", dict)
     twist_name, _ = bundle_type.TWIST
     twist = _parse_matrix(space, _get(maps_doc, twist_name, "document.maps", list),
-                          f"document.maps.{twist_name}")
+                          f"document.maps.{twist_name}", memo)
     extras = {}
     for name, rows in maps_doc.items():
         if name == twist_name:
             continue
         if not bundle_type.EXTRA_MAPS:
             _fail(f"document.maps.{name}", f"{kind} documents carry only {twist_name!r}")
-        extras[name] = _parse_extra_map(space, rows, f"document.maps.{name}")
+        extras[name] = _parse_extra_map(space, rows, f"document.maps.{name}", memo)
 
     try:
         bundle = bundle_type(*head, *ops.values(), twist)

@@ -234,13 +234,16 @@ class MultilinearMap(Record):
         return self.table.get(tuple(indices)) or Vector.zero(self.codomain)
 
     def __call__(self, *vectors) -> Vector:
-        """Multilinear evaluation on general vectors."""
+        """Multilinear evaluation on general vectors.  Every product
+        coeff * c of an expansion term is summed into one {index: Scalar}
+        dict, and the zeros are dropped once at the end, so one Vector is
+        built per call."""
         if len(vectors) != self.arity:
             raise InputError(f"expected {self.arity} arguments")
         for v, sp in zip(vectors, self.spaces):
             if not isinstance(v, Vector) or v.space != sp:
                 raise InputError("argument is not a vector of the right space")
-        out = Vector.zero(self.codomain)
+        acc = {}
         for key in product(*(sorted(v.coeffs) for v in vectors)):
             entry = self.table.get(key)
             if entry is None:
@@ -248,8 +251,10 @@ class MultilinearMap(Record):
             coeff = vectors[0].coeffs[key[0]]
             for v, i in zip(vectors[1:], key[1:]):
                 coeff = coeff * v.coeffs[i]
-            out = out + entry.scaled(coeff)
-        return out
+            for i, c in entry.coeffs.items():
+                s = acc.get(i)
+                acc[i] = coeff * c if s is None else s + coeff * c
+        return Vector._make(self.codomain, {i: s for i, s in acc.items() if s})
 
     def entries(self):
         return sorted(self.table.items())

@@ -42,14 +42,15 @@ basis tuple: ``law`` reads it at the key and folds a rational value into
 the term's integer scale, or multiplies a value with a zeta part into
 the picked vector, once per value and vector.  ``law`` brings the terms
 over one common denominator and adds their integer products into one
-accumulator per basis tuple, allocated at the first term that reads a
-nonzero vector there: a key where no term reads data costs no
-accumulator.  A nonzero accumulator is kept, split into its nonzero
-coordinates and over that denominator, as a ``Defect``: a scan's
-violation holds it, and a report writes each coefficient straight from
-the integers.  Only ``Defect.vector`` normalizes, by the scalar kernel,
-into the exact Vector, when ``materialize`` builds a map or the library
-reads ``Violation.defect``; both equal what Scalar arithmetic gives.
+accumulator per basis tuple, allocated at the first nonempty image row
+that a picked coordinate reads there: a key where no term reads data,
+or where every row read is empty, costs no accumulator.  A nonzero
+accumulator is kept, split into its nonzero coordinates and over that
+denominator, as a ``Defect``: a scan's violation holds it, and a report
+writes each coefficient straight from the integers.  Only
+``Defect.vector`` normalizes, by the scalar kernel, into the exact
+Vector, when ``materialize`` builds a map or the library reads
+``Violation.defect``; both equal what Scalar arithmetic gives.
 
 Field products happen only while building contraction rows, or where an
 eps value has a zeta part, through the scalar kernel's ``product`` and
@@ -315,8 +316,10 @@ def law(space, *terms):
     scale; one with a zeta part multiplies v by the kernel's ``product``,
     once per factor value and vector for the life of the law.  The terms
     are brought over one common denominator and summed in one integer
-    accumulator, allocated at the first term whose v is nonzero: at a key
-    where every v is empty, defect allocates and tests nothing."""
+    accumulator, allocated at the first term whose v meets a nonempty
+    image row (or whose v is taken as it is): at a key where every v is
+    empty, or meets only empty rows, defect allocates and tests
+    nothing."""
     field = space.field
     d, red = field.degree, field.reduction
     n, zero = space.dim * d, (0,) * d
@@ -343,13 +346,20 @@ def law(space, *terms):
                     hit = zeta[slot] = _flatten(
                         {k: _K.product(f, c, red) for k, c in _unflatten(v, d)}, d)
                 v = hit
-            if acc is None:
-                acc = [0] * n
             if rows is None:  # no images: the term is v itself
+                if acc is None:
+                    acc = [0] * n
                 for q, c in v:
                     acc[q] += scale * c
                 continue
             images = rows if at is None else rows[key[at]]
+            if acc is None:  # allocate at the first nonempty row v reads
+                for q, _ in v:
+                    if images[q]:
+                        acc = [0] * n
+                        break
+                else:
+                    continue
             for q, c in v:
                 c *= scale
                 for p, u in images[q]:

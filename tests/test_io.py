@@ -288,6 +288,78 @@ def test_oversized_basis_index_is_out_of_range():
     assert "out of range" in str(exc.value)
 
 
+def cyclotomic_leibniz():
+    """A Leibniz bundle over Q(zeta_12) whose twist and bracket repeat
+    scalar texts, two of them sharing their first coefficient string."""
+    from colorhom.bundles import LeibnizBundle
+    from colorhom.grading import Bicharacter, TRIVIAL_GROUP
+    from colorhom.linalg import GradedSpace, MultilinearMap, Vector
+
+    F = cyclotomic_field(12)
+    sp = GradedSpace.build(F, TRIVIAL_GROUP, [("a", ()), ("b", ())])
+    coeff = Scalar.one(F) + Scalar.root(F)
+    bracket = MultilinearMap.internal(sp, 2, {(1, 1): Vector(sp, {0: coeff})})
+    return LeibnizBundle(sp, Bicharacter.trivial(TRIVIAL_GROUP, F), bracket,
+                         EvenMap.identity(sp))
+
+
+def scalar_texts(doc):
+    """Every scalar text of a bundle document, an embedded algebra's
+    included, in no particular order."""
+    texts = [e for row in doc.get("bicharacter", ()) for e in row]
+    texts += [t for entries in doc["ops"].values() for entry in entries
+              for t in entry["out"].values()]
+    texts += [e for rows in doc["maps"].values() for row in rows for e in row]
+    return texts + (scalar_texts(doc["algebra"]) if "algebra" in doc else [])
+
+
+@pytest.mark.parametrize("make", [
+    lambda: io.serialize_bundle(cyclotomic_leibniz()),
+    lambda: io.serialize_bundle(regular_module(cyclotomic_leibniz())),
+    lambda: fixture_document("module-M"),
+])
+def test_each_distinct_scalar_text_parsed_once_per_document(monkeypatch, make):
+    """A parse reads each distinct text once, across an embedded algebra
+    too, and a second parse of the same document reads them all again:
+    nothing is kept across calls."""
+    doc = make()
+    texts = scalar_texts(doc)
+    distinct = {tuple(t) if isinstance(t, list) else t for t in texts}
+    assert len(distinct) < len(texts)
+    calls = []
+    parse = io.scalar_from_text
+
+    def counting(field, data):
+        calls.append(data)
+        return parse(field, data)
+
+    monkeypatch.setattr(io, "scalar_from_text", counting)
+    first = io.parse_document(doc)
+    assert len(calls) == len(distinct)
+    second = io.parse_document(doc)
+    assert len(calls) == 2 * len(distinct)
+    assert first.bundle == second.bundle
+    assert io.serialize_bundle(first.bundle) == doc
+
+
+@pytest.mark.parametrize("bundle, text, path", [
+    # an unhashable item, and an unhashable text over Q, are refused uncached
+    (cyclotomic_leibniz, ["1", ["0"], "0", "0"], "document.ops.bracket[0].out.0"),
+    (lambda: fixture("leibniz-L2").bundle, {"p": "1"}, "document.ops.bracket[0].out.0"),
+    # a malformed text that repeats is refused where it first occurs
+    (cyclotomic_leibniz, ["1", "x", "0", "0"], "document.ops.bracket[0].out.0"),
+    (lambda: fixture("leibniz-L2").bundle, "1/x", "document.ops.bracket[0].out.0"),
+])
+def test_unparsable_scalar_texts_name_their_first_path(bundle, text, path):
+    doc = io.serialize_bundle(bundle())
+    doc["ops"]["bracket"][0]["out"]["0"] = text
+    doc["maps"]["alpha"][1][1] = copy.deepcopy(text)
+    for _ in range(2):
+        with pytest.raises(InputError) as exc:
+            io.parse_document(doc)
+        assert str(exc.value).startswith(path + ":")
+
+
 @pytest.mark.parametrize(
     "name, mutate, path",
     [

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from genutil import COEFF_POOL, FIELD, random_even_map, random_setup
 from vector_laws import cyclic_sum
@@ -234,6 +234,7 @@ def test_multilinear_map_validation_and_evaluation():
 
 @settings(max_examples=40)
 @given(coeff, coeff, coeff, coeff)
+@example(1, 2, 1, -1)  # coordinate 0 cancels: 2ac + bd = 0
 def test_multilinearity(a, b, c, d):
     sp = trivial_space(2)
     table = {
@@ -252,6 +253,33 @@ def test_multilinearity(a, b, c, d):
         + m(e1, e1).scaled(Scalar.rational(F1, b * d))
     )
     assert m(v, w) == expanded
+
+
+def test_evaluation_over_cyclotomic_field_drops_cancelled_coordinates():
+    """Over Q(zeta_12), two expansion terms of m(v, w, x) cancel in
+    coordinate 0 while coordinate 1 sums three terms: the value equals the
+    term-by-term Vector sum and stores no zero coefficient."""
+    F = cyclotomic_field(12)
+    z, one = Scalar.root(F), Scalar.one(F)
+    sp = GradedSpace.build(F, TRIVIAL_GROUP, [(f"e{i}", ()) for i in range(3)])
+    e = [Vector.basis(sp, i) for i in range(3)]
+    m = MultilinearMap.internal(sp, 3, {
+        (0, 0, 0): Vector(sp, {0: z, 1: one}),
+        (0, 1, 0): Vector(sp, {0: one, 1: z * z, 2: -one}),
+        (1, 1, 0): Vector(sp, {1: z}),
+    })
+    v = e[0] + e[1].scaled(z)
+    w = e[0] + e[1].scaled(-z)  # the (0, 1, 0) term cancels (0, 0, 0) at e0
+    x = e[0]
+    got = m(v, w, x)
+    term_by_term = Vector.zero(sp)
+    for key, entry in m.entries():
+        coeff = v.coeffs.get(key[0]), w.coeffs.get(key[1]), x.coeffs.get(key[2])
+        if None not in coeff:
+            term_by_term = term_by_term + entry.scaled(coeff[0] * coeff[1] * coeff[2])
+    assert got == term_by_term
+    assert 0 not in got.coeffs and all(got.coeffs.values())
+    assert got == Vector(sp, {1: one - z ** 3 - z ** 3, 2: z})
 
 
 def test_multilinear_evenness_detection():
