@@ -7,6 +7,8 @@ denominator ``den``, fully reduced (gcd of all numerators and den is 1).
 canonical form.  ``product`` and ``times_zeta`` are the raw integer field
 products under them, with no gcd: the only field multiplication in the
 package, used as well by the table compiler in ``colorhom.tables``.
+``mul`` calls ``product`` only when both factors have a zeta part; a
+rational factor just scales the other's numerators.
 """
 
 from math import gcd
@@ -86,9 +88,16 @@ def times_zeta(a, reduction):
 
 
 def mul(anums, aden, bnums, bden, reduction):
-    """The canonical product of two scalars: ``product`` and one gcd pass."""
-    if len(anums) == 1:
-        return normalize([anums[0] * bnums[0]], aden * bden)
+    """The canonical product of two scalars, with one gcd pass.  A
+    rational factor (every numerator past the first is 0, as always for
+    N <= 2) scales the other coordinatewise; only two factors with zeta
+    parts go through ``product``."""
+    if not any(bnums[1:]):
+        b = bnums[0]
+        return normalize([a * b for a in anums], aden * bden)
+    if not any(anums[1:]):
+        a = anums[0]
+        return normalize([a * b for b in bnums], aden * bden)
     return normalize(product(anums, bnums, reduction), aden * bden)
 
 

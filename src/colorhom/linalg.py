@@ -19,6 +19,7 @@ from __future__ import annotations
 from itertools import product
 from types import MappingProxyType
 
+from ._backend import kernel as _K
 from .errors import InputError
 from .grading import GroupElement
 from .record import Record
@@ -101,16 +102,16 @@ class Vector(Record):
         # set directly, not through Record.__init__: the endomorphism test
         # builds Vectors per basis tuple, and the generic loop made each
         # construction about two thirds slower
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coeffs", MappingProxyType(clean))
+        _set_space(self, space)
+        _set_coeffs(self, MappingProxyType(clean))
 
     @classmethod
     def _make(cls, space, coeffs):
         """A Vector of trusted data: coeffs is a new dict of nonzero
         scalars of space's field."""
         v = object.__new__(cls)
-        object.__setattr__(v, "space", space)
-        object.__setattr__(v, "coeffs", MappingProxyType(coeffs))
+        _set_space(v, space)
+        _set_coeffs(v, MappingProxyType(coeffs))
         return v
 
     @classmethod
@@ -185,6 +186,9 @@ class Vector(Record):
         return " + ".join(parts).replace("+ -", "- ")
 
 
+_set_space, _set_coeffs = Vector._setters
+
+
 class MultilinearMap(Record):
     """Sparse structure-constant table of a k-linear map.
 
@@ -235,26 +239,34 @@ class MultilinearMap(Record):
 
     def __call__(self, *vectors) -> Vector:
         """Multilinear evaluation on general vectors.  Every product
-        coeff * c of an expansion term is summed into one {index: Scalar}
-        dict, and the zeros are dropped once at the end, so one Vector is
-        built per call."""
+        coeff * c of an expansion term is summed into one {index: (nums,
+        den)} dict of canonical kernel pairs (``kernel.mul`` and
+        ``kernel.add``, looked up at each call), and a Scalar is built
+        only for each nonzero sum at the end, so one Vector is built per
+        call and no Scalar per term."""
         if len(vectors) != self.arity:
             raise InputError(f"expected {self.arity} arguments")
         for v, sp in zip(vectors, self.spaces):
             if not isinstance(v, Vector) or v.space != sp:
                 raise InputError("argument is not a vector of the right space")
+        field = self.codomain.field
+        mul, add, reduction = _K.mul, _K.add, field.reduction
         acc = {}
         for key in product(*(sorted(v.coeffs) for v in vectors)):
             entry = self.table.get(key)
             if entry is None:
                 continue
-            coeff = vectors[0].coeffs[key[0]]
+            c = vectors[0].coeffs[key[0]]
+            nums, den = c.nums, c.den
             for v, i in zip(vectors[1:], key[1:]):
-                coeff = coeff * v.coeffs[i]
+                c = v.coeffs[i]
+                nums, den = mul(nums, den, c.nums, c.den, reduction)
             for i, c in entry.coeffs.items():
+                term = mul(nums, den, c.nums, c.den, reduction)
                 s = acc.get(i)
-                acc[i] = coeff * c if s is None else s + coeff * c
-        return Vector._make(self.codomain, {i: s for i, s in acc.items() if s})
+                acc[i] = term if s is None else add(*s, *term)
+        return Vector._make(self.codomain, {
+            i: Scalar._make(field, *s) for i, s in acc.items() if any(s[0])})
 
     def entries(self):
         return sorted(self.table.items())
@@ -287,9 +299,9 @@ class EvenMap(MultilinearMap):
 
     def _set(self, space, rows, table):
         # Record.__init__ sets FIELDS only; the inherited slots are set here
-        for name, value in (("space", space), ("rows", rows), ("spaces", (space,)),
-                            ("codomain", space), ("table", MappingProxyType(table))):
-            object.__setattr__(self, name, value)
+        for set_slot, value in zip(EvenMap._setters + MultilinearMap._setters,
+                                   (space, rows, (space,), space, MappingProxyType(table))):
+            set_slot(self, value)
         return self
 
     @classmethod

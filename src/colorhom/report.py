@@ -32,9 +32,9 @@ class Violation(Record):
 
     def __init__(self, args, raw=None, note=""):
         # set directly, as Vector.__init__ does: one per failing tuple
-        object.__setattr__(self, "args", args)
-        object.__setattr__(self, "raw", raw)
-        object.__setattr__(self, "note", note)
+        _set_args(self, args)
+        _set_raw(self, raw)
+        _set_note(self, note)
 
     @property
     def defect(self):
@@ -59,6 +59,9 @@ class Violation(Record):
         if self.note:
             text += f" [{self.note}]"
         return text
+
+
+_set_args, _set_raw, _set_note = Violation._setters
 
 
 class CheckReport(Record):

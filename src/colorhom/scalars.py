@@ -22,7 +22,7 @@ from math import gcd, lcm
 
 from ._backend import kernel as _K
 from .errors import InputError, too_many_digits
-from .record import Record
+from .record import Record, slot_setters
 
 _FRACTION_RE = re.compile(r"^([+-]?\d+)(?:/([1-9]\d*))?$", re.ASCII)
 
@@ -117,7 +117,11 @@ class Scalar:
     Stored as integer numerators over one positive denominator; the pair
     is always in canonical reduced form so == and hash are structural.
     Not a Record, for speed: it keeps its own constructor, equality and
-    hash, and takes only the record's refusal of writes and deletes.
+    hash, and takes only the record's refusal of writes and deletes.  Its
+    three slots are written through their descriptors' ``__set__``
+    (``record.slot_setters``).  ``+`` and ``*`` take a Scalar of the
+    same field object as it is; any other operand goes through
+    ``_coerce``, which refuses a Scalar of another field.
     """
 
     __slots__ = ("field", "nums", "den")
@@ -127,17 +131,17 @@ class Scalar:
         coefficient k multiplying zeta**k)."""
         pairs = [(c.numerator, c.denominator) for c in coefficients]
         nums, den = _ratios(field, pairs)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        _set_field(self, field)
+        _set_nums(self, nums)
+        _set_den(self, den)
 
     # internal: trusted canonical data, skips re-normalization
     @classmethod
     def _make(cls, field, nums, den):
         self = object.__new__(cls)
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        _set_field(self, field)
+        _set_nums(self, nums)
+        _set_den(self, den)
         return self
 
     __setattr__ = __delattr__ = Record.__setattr__
@@ -205,9 +209,10 @@ class Scalar:
         return hash((self.field.cyclotomic_order, self.nums, self.den))
 
     def __add__(self, other):
-        other = _coerce(self.field, other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not Scalar or other.field is not self.field:
+            other = _coerce(self.field, other)
+            if other is None:
+                return NotImplemented
         return Scalar._make(
             self.field, *_K.add(self.nums, self.den, other.nums, other.den)
         )
@@ -232,13 +237,13 @@ class Scalar:
         return Scalar._make(self.field, tuple(-n for n in self.nums), self.den)
 
     def __mul__(self, other):
-        other = _coerce(self.field, other)
-        if other is None:
-            return NotImplemented
+        field = self.field
+        if other.__class__ is not Scalar or other.field is not field:
+            other = _coerce(field, other)
+            if other is None:
+                return NotImplemented
         return Scalar._make(
-            self.field,
-            *_K.mul(self.nums, self.den, other.nums, other.den, self.field.reduction),
-        )
+            field, *_K.mul(self.nums, self.den, other.nums, other.den, field.reduction))
 
     __rmul__ = __mul__
 
@@ -300,6 +305,9 @@ class Scalar:
         for sign, term in parts[1:]:
             text += f" {sign} {term}"
         return text
+
+
+_set_field, _set_nums, _set_den = slot_setters(Scalar, *Scalar.__slots__)
 
 
 def _ratio_text(n, den):

@@ -383,9 +383,9 @@ class Defect(Record):
     __slots__ = FIELDS = ("space", "coords", "den")
 
     def __init__(self, space, coords, den):  # as Violation.__init__, for speed
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "den", den)
+        _set_space(self, space)
+        _set_coords(self, coords)
+        _set_den(self, den)
 
     def vector(self) -> Vector:
         """The exact Vector: each coordinate normalized by the scalar
@@ -394,6 +394,9 @@ class Defect(Record):
         return Vector(self.space, {
             k: Scalar._make(field, *_K.normalize(nums, den)) for k, nums in self.coords
         })
+
+
+_set_space, _set_coords, _set_den = Defect._setters
 
 
 def materialize(spaces, codomain, defect) -> MultilinearMap:

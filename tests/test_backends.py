@@ -71,6 +71,34 @@ def test_results_always_canonical(data):
         assert g == 1 or all(n == 0 for n in nums) and den == 1
 
 
+def factor(width, rational):
+    """A (nums, den) pair of the given width; a rational one has no zeta
+    part, and a general one has a nonzero numerator past the first."""
+    if rational:
+        return st.tuples(ints.map(lambda p: (p,) + (0,) * (width - 1)), dens)
+    return vec_strategy(width).filter(lambda v: any(v[0][1:]))
+
+
+# (order, which factors are rational); over Q and Q(zeta_2) both always are
+RATIONAL_CASES = [(1, (True, True)), (2, (True, True))] + [
+    (order, rational) for order in (4, 12, 15)
+    for rational in ((False, False), (True, False), (False, True), (True, True))]
+
+
+@pytest.mark.parametrize("order, rational", RATIONAL_CASES)
+@settings(max_examples=40)
+@given(st.data())
+def test_mul_scales_by_a_rational_factor_as_product_does(order, rational, data):
+    """mul takes a shortcut when a factor is rational; its value is still
+    the canonical form of ``product``'s."""
+    field = cyclotomic_field(order)
+    width = field.degree
+    a_nums, a_den = data.draw(factor(width, rational[0]))
+    b_nums, b_den = data.draw(factor(width, rational[1]))
+    want = kernel.normalize(kernel.product(a_nums, b_nums, field.reduction), a_den * b_den)
+    assert kernel.mul(a_nums, a_den, b_nums, b_den, field.reduction) == want
+
+
 def test_big_integer_territory():
     # far past any fixed-width integer: mul must stay exact
     from oracles import FieldOracle

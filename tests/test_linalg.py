@@ -282,6 +282,36 @@ def test_evaluation_over_cyclotomic_field_drops_cancelled_coordinates():
     assert got == Vector(sp, {1: one - z ** 3 - z ** 3, 2: z})
 
 
+def test_evaluation_makes_one_scalar_per_nonzero_coordinate(monkeypatch):
+    """Terms are summed as kernel pairs: m(v, w) over Q(zeta_12), whose
+    three terms sum in coordinate 0, whose two terms cancel in coordinate 1
+    and whose one term stands alone in coordinate 2, makes exactly one
+    Scalar for each of coordinates 0 and 2."""
+    F = cyclotomic_field(12)
+    z, one = Scalar.root(F), Scalar.one(F)
+    sp = GradedSpace.build(F, TRIVIAL_GROUP, [(f"e{i}", ()) for i in range(3)])
+    m = MultilinearMap.internal(sp, 2, {
+        (0, 0): Vector(sp, {0: one, 1: z}),
+        (0, 1): Vector(sp, {0: z, 1: one}),
+        (1, 0): Vector(sp, {0: z * z, 2: one}),
+    })
+    v = Vector(sp, {0: one, 1: z})
+    w = Vector(sp, {0: one, 1: -z})  # (0, 1) cancels (0, 0) at e1
+    made = []
+    make = Scalar.__dict__["_make"].__func__
+
+    def counted(cls, *args):
+        made.append(args)
+        return make(cls, *args)
+
+    monkeypatch.setattr(Scalar, "_make", classmethod(counted))
+    got = m(v, w)
+    monkeypatch.undo()
+    assert len(made) == len(got.coeffs) == 2
+    assert sorted(got.coeffs) == [0, 2]
+    assert got == Vector(sp, {0: one - z ** 2 + z ** 3, 2: z})
+
+
 def test_multilinear_evenness_detection():
     sp = super_space()
     # product of two odd vectors must be even; sending (e,e) to e is odd

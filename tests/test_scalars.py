@@ -1,5 +1,6 @@
 """Exact cyclotomic scalar arithmetic against independent oracles."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,19 @@ def test_cross_field_operations_rejected():
     b = Scalar.one(cyclotomic_field(4))
     with pytest.raises(InputError):
         a + b
+
+
+def test_no_shortcut_for_a_scalar_of_another_field():
+    """A Scalar of another field never takes the same-field shortcut of
+    ``+`` and ``*``: it is refused from either side, and equality says no."""
+    a = Scalar.one(cyclotomic_field(3))
+    b = Scalar.one(cyclotomic_field(4))
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for x, y in ((a, b), (b, a), (Scalar.root(a.field), Scalar.root(b.field))):
+            with pytest.raises(InputError):
+                op(x, y)
+    assert a != b and not a == b
+    assert Scalar.one(cyclotomic_field(1)) != Scalar.one(cyclotomic_field(2))
 
 
 @settings(max_examples=60)
