@@ -18,6 +18,7 @@ from colorhom.bundles import (
 )
 from colorhom.grading import Bicharacter, GradingGroup, TRIVIAL_GROUP
 from colorhom.linalg import EvenMap, GradedSpace, MultilinearMap, Vector
+from colorhom.record import replace
 from colorhom.scalars import Scalar, cyclotomic_field
 
 FIELD = cyclotomic_field(4)  # Q(i): holds +-1, +-i and all rationals
@@ -441,6 +442,61 @@ def same_defect(F, vec, oracle_vec_dict):
         if not F.is_zero(F.sub(a, b)):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Scheunert's cocycle twist (M. Scheunert, "Generalized Lie algebras",
+# J. Math. Phys. 20 (1979) 712)
+
+
+def cocycle(bichar):
+    """(sigma, rho) of the bicharacter eps with generator matrix E.
+    sigma(g_1, .., g_k) is prod_{p<q} s(g_p, g_q) over degrees in their
+    order, where s(a, b) = prod_{i<j} E[j][i]**(a_i b_j); rho is the
+    bicharacter with eps's diagonal and 1 off it, so that
+    eps(a, b) = rho(a, b) s(b, a) / s(a, b)."""
+    E, field = bichar.matrix, bichar.field
+    n = len(E)
+    one = Scalar.one(field)
+
+    def sigma(*degrees):
+        value = one
+        for p, a in enumerate(degrees):
+            for b in degrees[p + 1:]:
+                for i in range(n):
+                    for j in range(i + 1, n):
+                        if a.coords[i] * b.coords[j]:
+                            value = value * E[j][i] ** (a.coords[i] * b.coords[j])
+        return value
+
+    rho = Bicharacter(bichar.group, field, tuple(
+        tuple(E[i][i] if i == j else one for j in range(n)) for i in range(n)))
+    return sigma, rho
+
+
+def cocycle_twist(bundle):
+    """The bundle with each k-ary operation scaled at argument degrees
+    g_1..g_k by prod_{p<q} sigma(g_p, g_q) and eps replaced by rho (a
+    module: its algebra twisted too).  Twist maps stay as they are.  A law
+    written by the Koszul sign rule keeps its violations: its defect at a
+    basis tuple is multiplied by the sigma factor of its first term's
+    argument order."""
+    bichar = bundle.algebra.bichar if isinstance(bundle, ModuleBundle) else bundle.bichar
+    sigma, rho = cocycle(bichar)
+
+    def scaled(m):
+        table = {}
+        for key, v in m.table.items():
+            degrees = [sp.degree(i) for sp, i in zip(m.spaces, key)]
+            table[key] = v.scaled(sigma(*degrees))
+        return MultilinearMap(m.spaces, m.codomain, table)
+
+    changes = {attr: scaled(getattr(bundle, attr)) for _, attr, _ in bundle.OPS}
+    if isinstance(bundle, ModuleBundle):
+        changes["algebra"] = cocycle_twist(bundle.algebra)
+    else:
+        changes["bichar"] = rho
+    return replace(bundle, **changes)
 
 
 # ---------------------------------------------------------------------------
