@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / all checks pass, 1 identity violations or a
-construction refusing its input, 2 malformed input or usage errors.
+construction refusing its input, 2 malformed input, usage errors or an
+output path that cannot be written.
 
 Input paths name JSON documents on disk; a path whose file does not
 exist but whose basename matches a built-in fixture (for instance
@@ -57,13 +58,24 @@ def _load(path):
     return doc, parse_document(doc)
 
 
+def _check_output(path):
+    """Refuse an output path in a directory that does not exist, before
+    the input is read or anything is built."""
+    folder = os.path.dirname(path) or "."
+    if path != "-" and not os.path.isdir(folder):
+        raise InputError(f"cannot write {path}: no such directory {folder}")
+
+
 def _write_output(path, doc):
     text = dumps_document(doc)
     if path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as e:  # exit 1 would read as a failing law
+        raise InputError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 def _write_certified(path, bundle):
@@ -116,6 +128,7 @@ _CONSTRUCTIONS = {
 def cmd_construct(args):
     if args.variant is not None and args.what != "tensor2":
         raise InputError(f"--variant applies to tensor2, not {args.what}")
+    _check_output(args.output)
     doc, parsed = _load(args.input)
     expected_kind, build = _CONSTRUCTIONS[args.what]
     bundle = parsed.bundle
@@ -133,6 +146,7 @@ def cmd_construct(args):
 
 
 def cmd_twist(args):
+    _check_output(args.output)
     doc, parsed = _load(args.input)
     bundle = parsed.bundle
     if args.power < 0:

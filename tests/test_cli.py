@@ -164,6 +164,20 @@ def test_construct_rejects_wrong_kind(capsys):
     assert "error:" in err
 
 
+def test_construct_into_missing_directory_exits_two_before_any_work(
+        monkeypatch, tmp_path, capsys):
+    """An output path in a directory that does not exist is a usage error,
+    found before the input is read or anything is built."""
+    built = []
+    monkeypatch.setitem(cli._CONSTRUCTIONS, "akivis",
+                        ("nonassociative", lambda b: built.append(b)))
+    out_path = tmp_path / "no" / "such" / "ak.json"
+    code, _, err = run(capsys, "construct", "akivis", "fixtures/nonassoc-NA2", str(out_path))
+    assert code == 2
+    assert str(out_path) in err
+    assert not built and not out_path.parent.exists()
+
+
 def test_construct_trivext_to_stdout(capsys):
     code, out, _ = run(capsys, "construct", "trivext", "fixtures/leibniz-L2", "-")
     assert code == 0
@@ -267,6 +281,28 @@ def test_twist_akivis_with_named_map(capsys):
     entries = {tuple(e["args"]): e["out"] for e in doc["ops"]["bracket"]}
     assert entries == {(0, 1): {"1": "9"}, (1, 0): {"1": "-9"}}
     assert doc["report"]["passed"] is True
+
+
+def test_twist_into_missing_directory_exits_two_before_any_work(
+        monkeypatch, tmp_path, capsys):
+    """Exit 1 means a law fails; an unwritable output path exits 2, and a
+    missing directory is found before the twist is built or certified."""
+    built = []
+    monkeypatch.setattr(cli, "twist_leibniz", lambda *args: built.append(args))
+    out_path = tmp_path / "no" / "such" / "out.json"
+    code, _, err = run(capsys, "twist", "fixtures/leibniz-L2", str(out_path))
+    assert code == 2
+    assert str(out_path) in err
+    assert not built and not out_path.parent.exists()
+
+
+def test_twist_write_error_exits_two(tmp_path, capsys):
+    """A write that fails after the work (here the path is a directory)
+    exits 2 with the path in the message."""
+    code, _, err = run(capsys, "twist", "fixtures/leibniz-L2", str(tmp_path))
+    assert code == 2
+    assert str(tmp_path) in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_twist_default_map_alpha_power_one(capsys):
