@@ -1,5 +1,6 @@
-"""The benchmark's tracing still finds every name it wraps, and the fine
-layers it samples still see work.
+"""The benchmark's tracing still finds every name it wraps, every law
+check full_check runs goes through a wrapped name, and the fine layers it
+samples still see work.
 
 perfbench/tracing.py patches colorhom functions by name (``Spans``) and
 counts and samples calls on the kernel, Scalar, Vector, MultilinearMap
@@ -41,3 +42,29 @@ def test_full_check_under_spans_and_counters():
     # every fine layer the benchmark samples sees work
     for name in tracing.SAMPLED:
         assert counters.samples[name], name
+
+
+# one fixture per bundle kind; akivis-A is trivially graded and flexible,
+# and leibniz-L2 passes its law, so full_check runs every conditional check
+ONE_PER_KIND = ("nonassoc-NA2", "akivis-A", "leibniz-L2", "nhlp-trivext-L2",
+                "dialg-D1", "module-M")
+
+
+def test_every_law_check_full_check_reaches_is_spanned():
+    """full_check must reach each law check through the module attribute
+    perfbench wraps, so no check runs outside its span."""
+    bundles = [io.parse_document(fixture_document(name)).bundle for name in ONE_PER_KIND]
+    assert {b.kind for b in bundles} == set(io.KINDS)
+    spans = tracing.Spans()
+    spans.install()
+    try:
+        for bundle in bundles:
+            io.full_check(bundle)
+    finally:
+        spans.uninstall()
+    names = {span[2] for span in spans.spans}
+    checks = {f"{layer}.{name}" for layer, module, name in tracing.COARSE
+              if module == "colorhom.checkers" and name.startswith("check_")}
+    # check_endomorphism is the library's report of the endomorphism test;
+    # full_check asks bundles.is_multiplicative instead
+    assert checks - {"checkers.check_endomorphism"} <= names
