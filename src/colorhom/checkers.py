@@ -8,11 +8,15 @@ always evaluated at the degrees of the original homogeneous arguments of
 the tuple under test; inner occurrences are table-driven and need no
 extra signs.
 
-Scans run on compiled integer tables (``tables``): each law is a sum of
-``tables.term`` written as the paper writes the formula, and a defect is
-a sum of integer products, so the scalar kernels are off the scan path.
-A nonzero defect stays integers over one denominator (``tables.Defect``)
-in its violation; it becomes an exact ``Vector`` only when read.
+Every law is an entry of ``LAWS``, its terms written as the paper writes
+the formula and signed by the Koszul rule, read off each term's leaf order
+at import: eps(k[p], k[q]) for each pair of key positions p < q that
+appear as q .. p, times the law's prefactor, each eps(p,q) eps(q,p)
+cancelled.  A term that does not follow the rule lists its own factors.
+The Hom-associator is ``bundles.associator_law``.  A checker binds a
+law's operation names to the bundle's maps and scans it on compiled
+integer tables (``tables``), so the scalar kernels are off the scan path;
+a nonzero defect stays integers (``tables.Defect``) until it is read.
 
 Every scan runs in one thread: worker threads were measured 20-40%
 slower under the interpreter lock.  A checker that takes a bundle
@@ -21,6 +25,8 @@ per bundle object however many callers ask for it.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from . import tables
 from .bundles import (
@@ -45,9 +51,10 @@ from .linalg import (
     endomorphism_defects,
 )
 from .report import CheckReport, Violation, sorted_violations
-from .tables import law, term
+from .tables import law
 
 __all__ = [
+    "LAWS",
     "scan_identity",
     "check_skew_symmetry",
     "check_akivis_identity",
@@ -78,29 +85,149 @@ def scan_identity(identity_id, keys, defect_fn, jobs=1, note="") -> CheckReport:
     return CheckReport(identity_id, sorted_violations(violations), note=note)
 
 
-def _signs(b, a=None, c=None):
-    """eps on the degrees of the bases of spaces a x c (default: b.space)."""
-    space = b.space if a is None else a
-    return tables.signs(b.bichar, space, space if c is None else c)
+def _cyclic(coefficient, monomial, *own):
+    """The terms of a cyclic sum: monomial, and its own factors, at the
+    rotations (x,y,z), (y,z,x), (z,x,y), key position p read as (p + r) % 3."""
+    def turn(m, r):
+        return (m + r) % 3 if type(m) is int else (m[0], *(turn(a, r) for a in m[1:]))
+
+    return [(coefficient, turn(monomial, r),
+             *(tuple((turn(p, r), turn(q, r)) for p, q in factors) for factors in own))
+            for r in range(3)]
 
 
-# the rotations (x,y,z), (y,z,x), (z,x,y) of a cyclic sum
-_CYCLIC = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+# law id -> (key spaces, prefactor, terms).  A key space is S, the bundle's
+# own, or A, the acting algebra's; the prefactor (p, q) is eps(k[p], k[q]).
+# A term is (coefficient, monomial), a monomial a key position p, ("t", p)
+# (the twist of e_k[p]), ("t", inner) or (name, *arguments), the name bound
+# by the checker: B bracket, T ternary, P product, C commutator, L and R the
+# left and right products or actions.  A term whose third entry lists its
+# own factors (p, q) breaks the Koszul rule; each such law says why.
+_BRACKET_CYCLE = _cyclic(1, ("B", ("B", 0, 1), ("t", 2)))
+LAWS = {
+    "skew-symmetry": ("SS", None, [(1, ("B", 0, 1)), (1, ("B", 1, 0))]),
+    "hom-jacobi": ("SSS", (2, 0), _BRACKET_CYCLE),
+    "hom-akivis": ("SSS", (2, 0), [
+        *_BRACKET_CYCLE, *_cyclic(-1, ("T", 0, 1, 2)), *_cyclic(1, ("T", 1, 0, 2))]),
+    # own factors (ROADMAP.md item 12): none, ungraded by design; eps(x,z) alone
+    "flexible-literal": ("SSS", None, [(1, ("T", 0, 1, 2)), (1, ("T", 2, 1, 0), ())]),
+    "flexible-polarized": ("SSS", None, [(1, ("T", 0, 1, 2)), (1, ("T", 2, 1, 0), ((0, 2),))]),
+    "alternative-first-pair": ("SSS", None, [(1, ("T", 0, 1, 2)), (1, ("T", 1, 0, 2))]),
+    "alternative-second-pair": ("SSS", None, [(1, ("T", 0, 1, 2)), (1, ("T", 0, 2, 1))]),
+    # the summand eps(x,y) eps(y,z) T(x,y,z) lists its own (ROADMAP.md item 12)
+    "flexible-akivis-relation": ("SSS", (2, 0), [
+        *_BRACKET_CYCLE, *_cyclic(-1, ("T", 0, 1, 2)),
+        *_cyclic(-1, ("T", 0, 1, 2), ((0, 1), (1, 2)))]),
+    "color-hom-leibniz": ("SSS", None, [(1, ("B", ("t", 0), ("B", 1, 2))),
+                                        (-1, ("B", ("B", 0, 1), ("t", 2))),
+                                        (-1, ("B", ("t", 1), ("B", 0, 2)))]),
+    "leibniz-symmetrized-action": ("SSS", None, [(1, ("B", ("B", 0, 1), ("t", 2))),
+                                                 (1, ("B", ("B", 1, 0), ("t", 2)))]),
+    "leibniz-derived-bracket": ("SSS", None, [(1, ("C", ("B", 0, 1), ("t", 2))),
+                                              (1, ("C", ("t", 1), ("B", 0, 2))),
+                                              (-1, ("B", ("t", 0), ("C", 1, 2)))]),
+    "leibniz-compatibility": ("SSS", None, [(1, ("B", ("t", 0), ("P", 1, 2))),
+                                            (-1, ("P", ("B", 0, 1), ("t", 2))),
+                                            (-1, ("P", ("t", 1), ("B", 0, 2)))]),
+    # the dialgebra axioms: axiom n is lhs == rhs
+    **{f"dialgebra-axiom-{n}": ("SSS", None, [(1, lhs), (-1, rhs)])
+       for n, (lhs, rhs) in enumerate((
+           (("L", ("R", 0, 1), ("t", 2)), ("R", ("t", 0), ("L", 1, 2))),
+           (("L", ("t", 0), ("L", 1, 2)), ("L", ("L", 0, 1), ("t", 2))),
+           (("L", ("L", 0, 1), ("t", 2)), ("L", ("t", 0), ("R", 1, 2))),
+           (("R", ("L", 0, 1), ("t", 2)), ("R", ("t", 0), ("R", 1, 2))),
+           (("R", ("t", 0), ("R", 1, 2)), ("R", ("R", 0, 1), ("t", 2))),
+       ), start=1)},
+    # the module laws, with L(x, m) = x.m and R(m, x) = m*x
+    "module-twist-left": ("AS", None, [  # t(x.m) - t(x).t(m)
+        (1, ("t", ("L", 0, 1))), (-1, ("L", ("t", 0), ("t", 1)))]),
+    "module-twist-right": ("SA", None, [  # t(m*x) - t(m)*t(x)
+        (1, ("t", ("R", 0, 1))), (-1, ("R", ("t", 0), ("t", 1)))]),
+    "module-bracket-left": ("AAS", None, [  # [x,y].t(m) - t(x).(y.m) + eps(x,y) t(y).(x.m)
+        (1, ("L", ("B", 0, 1), ("t", 2))), (-1, ("L", ("t", 0), ("L", 1, 2))),
+        (1, ("L", ("t", 1), ("L", 0, 2)))]),
+    # own factors (ROADMAP.md item 12): not those of the semidirect product's law
+    "module-bracket-right": ("AAS", None, [  # t(m)*[x,y] - (x.m)*t(y) - eps(x,m) t(x).(m*y)
+        (1, ("R", ("t", 2), ("B", 0, 1)), ()), (-1, ("R", ("L", 0, 2), ("t", 1)), ()),
+        (-1, ("L", ("t", 0), ("R", 2, 1)), ((0, 2),))]),
+    "module-mixed": ("ASA", None, [  # t(x).(m*y) - (x.m)*t(y) - eps(m,x) t(m)*[x,y]
+        (1, ("L", ("t", 0), ("R", 1, 2)), ()), (-1, ("R", ("L", 0, 1), ("t", 2)), ()),
+        (-1, ("R", ("t", 1), ("B", 0, 2)), ((1, 0),))]),
+}
+
+
+def _leaves(monomial):
+    """The key positions of a monomial in the order its arguments appear."""
+    if type(monomial) is int:
+        return [monomial]
+    return [p for arg in monomial[1:] for p in _leaves(arg)]
+
+
+def _koszul(leaves, prefactor):
+    """The eps factors (p, q) of a term by the Koszul rule: one for each
+    pair of key positions p < q that appear as q .. p in leaves, and the
+    prefactor, each eps(p,q) eps(q,p) cancelled."""
+    factors = [prefactor] if prefactor else []
+    for i, q in enumerate(leaves):
+        for p in leaves[i + 1:]:
+            if p < q:
+                if (q, p) in factors:
+                    factors.remove((q, p))
+                else:
+                    factors.append((p, q))
+    return factors
+
+
+def _compile(spaces, prefactor, terms):
+    """A law's key spaces, the maps and pairs of spaces of the Signs it
+    reads, and each term as (coefficient, outer, arguments as ``tables.term``
+    takes them, factors (spaces, p, q)); "tX" is the twist of space X."""
+    plan = []
+    for coefficient, (name, *args), *own in terms:
+        factors = own[0] if own else _koszul(_leaves((name, *args)), prefactor)
+        plan.append((coefficient, "tS" if name == "t" else name,
+                     [("t" + spaces[a[1]], a[1]) if type(a) is tuple and a[0] == "t" else a
+                      for a in args],
+                     [(spaces[p] + spaces[q], p, q) for p, q in factors]))
+    names = {n for _, name, args, _ in plan
+             for n in (name, *(a[0] for a in args if type(a) is tuple))}
+    return spaces, names, {s for *_, factors in plan for s, _, _ in factors}, plan
+
+
+_PLANS = {law_id: _compile(*entry) for law_id, entry in LAWS.items()}
+
+
+def _scan(law_id, b, keys=None, alone=None, **ops):
+    """Scan LAWS[law_id] on b over keys (every basis tuple of its key spaces),
+    each name bound to ops[name], the twists to b's and its algebra's; at a
+    key k where alone(k), the defect is that of the first term alone."""
+    spaces, names, pairs, plan = _PLANS[law_id]
+    alg = b.algebra if isinstance(b, ModuleBundle) else b
+    space = {"S": b.space if alg is b else b.module_space, "A": alg.space}
+    ops.update(tS=getattr(b, b.TWIST[1]), tA=alg.twist)
+    table = {name: tables.table(ops[name]) for name in names}
+    signs = {s: tables.signs(alg.bichar, space[s[0]], space[s[1]]) for s in pairs}
+    terms = [
+        tables.term(coefficient, table[name],
+                    *[a if type(a) is int else (table[a[0]], *a[1:]) for a in args],
+                    eps=[(signs[s], p, q) for s, p, q in factors])
+        for coefficient, name, args, factors in plan
+    ]
+    defect = law(space["S"], *terms)
+    if alone is not None:
+        first, whole = law(space["S"], terms[0]), defect
+        defect = lambda k: (first if alone(k) else whole)(k)  # noqa: E731
+    if keys is None:
+        keys = product(*(range(space[s].dim) for s in spaces))
+    return scan_identity(law_id, keys, defect)
 
 
 @_once_per_bundle
 def check_skew_symmetry(b) -> CheckReport:
     """bracket(x, y) + eps(x, y) * bracket(y, x) == 0 on all basis pairs."""
-    space, B = b.space, tables.table(b.bracket)
-    defect = law(space, term(1, B, 0, 1), term(1, B, 1, 0, eps=[(_signs(b), 0, 1)]))
-    keys = [(i, j) for i in range(space.dim) for j in range(i, space.dim)]
-    return scan_identity("skew-symmetry", keys, defect)
-
-
-def _bracket_cycle(b, E):
-    """The terms of sum_cyc eps(z,x) [[x,y], t(z)]."""
-    B, tw = tables.table(b.bracket), tables.table(b.twist)
-    return [term(1, B, (B, x, y), (tw, z), eps=[(E, z, x)]) for x, y, z in _CYCLIC]
+    n = b.space.dim
+    return _scan("skew-symmetry", b, [(i, j) for i in range(n) for j in range(i, n)],
+                 B=b.bracket)
 
 
 @_once_per_bundle
@@ -115,14 +242,7 @@ def check_akivis_identity(b: AkivisBundle) -> CheckReport:
     pre = check_skew_symmetry(b)
     if not pre.passed:
         return CheckReport("hom-akivis", precondition_failure=pre)
-    T, E = tables.table(b.ternary), _signs(b)
-    defect = law(
-        b.space,
-        *_bracket_cycle(b, E),
-        *(term(-1, T, x, y, z, eps=[(E, z, x)]) for x, y, z in _CYCLIC),
-        *(term(1, T, y, x, z, eps=[(E, z, x), (E, x, y)]) for x, y, z in _CYCLIC),
-    )
-    return scan_identity("hom-akivis", b.space.tuples(3), defect)
+    return _scan("hom-akivis", b, B=b.bracket, T=b.ternary)
 
 
 @_once_per_bundle
@@ -131,8 +251,7 @@ def check_hom_lie(b) -> CheckReport:
     pre = check_skew_symmetry(b)
     if not pre.passed:
         return CheckReport("hom-jacobi", precondition_failure=pre)
-    defect = law(b.space, *_bracket_cycle(b, _signs(b)))
-    return scan_identity("hom-jacobi", b.space.tuples(3), defect)
+    return _scan("hom-jacobi", b, B=b.bracket)
 
 
 def _ternary_of(b) -> MultilinearMap:
@@ -159,46 +278,19 @@ def check_flexible_alternative(b) -> CheckReport:
     The composite 'passed' means polarized-flexible AND alternative, so
     treat this as a classifier and read the flags rather than the pass bit.
     """
-    space = b.space
-    T, E = tables.table(_ternary_of(b)), _signs(b)
-    deg = space.degree
-    itself = term(1, T, 0, 1, 2)
-
-    def swapped(*args, eps=()):
-        """The law T(x,y,z) + (eps) T(permuted args)."""
-        return law(space, itself, term(1, T, *args, eps=eps))
-
-    literal_keys = [
-        (x, y, z)
-        for x in range(space.dim)
-        for y in range(space.dim)
-        for z in range(x, space.dim)
-        if x == z or deg(x) == deg(z)
-    ]
-    alone, pair = law(space, itself), swapped(2, 1, 0)
-    literal = scan_identity("flexible-literal", literal_keys,
-                            lambda k: (alone if k[0] == k[2] else pair)(k))
-
-    polarized_keys = [
-        (x, y, z)
-        for x in range(space.dim)
-        for y in range(space.dim)
-        for z in range(x, space.dim)
-    ]
-    polarized = scan_identity("flexible-polarized", polarized_keys,
-                              swapped(2, 1, 0, eps=[(E, 0, 2)]))
-
+    space, T = b.space, _ternary_of(b)
+    deg, n = space.degree, space.dim
+    keys = [(x, y, z) for x in range(n) for y in range(n) for z in range(x, n)]
+    literal = _scan("flexible-literal", b, [(x, y, z) for x, y, z in keys
+                                            if x == z or deg(x) == deg(z)],
+                    alone=lambda k: k[0] == k[2], T=T)
+    polarized = _scan("flexible-polarized", b, keys, T=T)
     # the two adjacent swaps generate all permutations, so eps-alternating
     # reduces to these two families
-    alt_sub = CheckReport(
-        "alternative",
-        subreports=(
-            scan_identity("alternative-first-pair", space.tuples(3),
-                          swapped(1, 0, 2, eps=[(E, 0, 1)])),
-            scan_identity("alternative-second-pair", space.tuples(3),
-                          swapped(0, 2, 1, eps=[(E, 1, 2)])),
-        ),
-    )
+    alt_sub = CheckReport("alternative", subreports=(
+        _scan("alternative-first-pair", b, T=T),
+        _scan("alternative-second-pair", b, T=T),
+    ))
     flags = {
         "flexible": polarized.passed,
         "flexible_literal": literal.passed,
@@ -225,14 +317,7 @@ def check_flexible_akivis_relation(b: AkivisBundle) -> CheckReport:
     if not classify.flags["flexible"]:
         failed = classify.subreports[1]
         return CheckReport("flexible-akivis-relation", precondition_failure=failed)
-    T, E = tables.table(b.ternary), _signs(b)
-    defect = law(
-        b.space,
-        *_bracket_cycle(b, E),
-        *(term(-1, T, x, y, z, eps=[(E, z, x)]) for x, y, z in _CYCLIC),
-        *(term(-1, T, x, y, z, eps=[(E, x, y), (E, y, z)]) for x, y, z in _CYCLIC),
-    )
-    return scan_identity("flexible-akivis-relation", b.space.tuples(3), defect)
+    return _scan("flexible-akivis-relation", b, B=b.bracket, T=b.ternary)
 
 
 def check_hom_associativity(product: MultilinearMap, twist: EvenMap) -> CheckReport:
@@ -248,14 +333,7 @@ def check_color_leibniz(b) -> CheckReport:
 
         [t(x), [y,z]] == [[x,y], t(z)] + eps(x,y) [t(y), [x,z]]
     """
-    B, tw = tables.table(b.bracket), tables.table(b.twist)
-    defect = law(
-        b.space,
-        term(1, B, (tw, 0), (B, 1, 2)),
-        term(-1, B, (B, 0, 1), (tw, 2)),
-        term(-1, B, (tw, 1), (B, 0, 2), eps=[(_signs(b), 0, 1)]),
-    )
-    return scan_identity("color-hom-leibniz", b.space.tuples(3), defect)
+    return _scan("color-hom-leibniz", b, B=b.bracket)
 
 
 @_once_per_bundle
@@ -271,23 +349,10 @@ def check_leibniz_consequences(b: LeibnizBundle) -> CheckReport:
     pre = check_color_leibniz(b)
     if not pre.passed:
         return CheckReport("leibniz-consequences", precondition_failure=pre)
-    space = b.space
-    B, tw, E = tables.table(b.bracket), tables.table(b.twist), _signs(b)
-    symmetrized = law(
-        space,
-        term(1, B, (B, 0, 1), (tw, 2)),
-        term(1, B, (B, 1, 0), (tw, 2), eps=[(E, 0, 1)]),
-    )
-    C = tables.table(commutator_map(b.bracket, b.bichar))
-    derived = law(
-        space,
-        term(1, C, (B, 0, 1), (tw, 2)),
-        term(1, C, (tw, 1), (B, 0, 2), eps=[(E, 0, 1)]),
-        term(-1, B, (tw, 0), (C, 1, 2)),
-    )
     subs = (
-        scan_identity("leibniz-symmetrized-action", space.tuples(3), symmetrized),
-        scan_identity("leibniz-derived-bracket", space.tuples(3), derived),
+        _scan("leibniz-symmetrized-action", b, B=b.bracket),
+        _scan("leibniz-derived-bracket", b, B=b.bracket,
+              C=commutator_map(b.bracket, b.bichar)),
     )
     return CheckReport("leibniz-consequences", subreports=subs)
 
@@ -301,54 +366,20 @@ def check_nhlp(b: NHLPBundle) -> CheckReport:
                                  + eps(x,y) product(t(y), [x,z])
 
     Flags record whether the product is eps-commutative."""
-    space = b.space
     leibniz = check_color_leibniz(b)
     assoc = check_hom_associativity(b.product, b.twist)
-    B, P, tw = tables.table(b.bracket), tables.table(b.product), tables.table(b.twist)
-    compat = law(
-        space,
-        term(1, B, (tw, 0), (P, 1, 2)),
-        term(-1, P, (B, 0, 1), (tw, 2)),
-        term(-1, P, (tw, 1), (B, 0, 2), eps=[(_signs(b), 0, 1)]),
-    )
-    compat_rep = scan_identity("leibniz-compatibility", space.tuples(3), compat)
+    compat = _scan("leibniz-compatibility", b, B=b.bracket, P=b.product)
     flags = {"commutative": is_sign_commutative(b.product, b.bichar)}
-    return CheckReport("nhlp", subreports=(leibniz, assoc, compat_rep), flags=flags)
+    return CheckReport("nhlp", subreports=(leibniz, assoc, compat), flags=flags)
 
 
 @_once_per_bundle
 def check_dialgebra(b: DialgebraBundle) -> CheckReport:
-    """The five twisted axioms tying the two products together.  Numbered
-    left to right as the defining chain of equalities decomposes:
-
-        1. L(R(x,y), t(z)) == R(t(x), L(y,z))
-        2. L(t(x), L(y,z)) == L(L(x,y), t(z))
-        3. L(L(x,y), t(z)) == L(t(x), R(y,z))
-        4. R(L(x,y), t(z)) == R(t(x), R(y,z))
-        5. R(t(x), R(y,z)) == R(R(x,y), t(z))
-    """
-    space = b.space
-    L, R = tables.table(b.prod_left), tables.table(b.prod_right)
-    tw = tables.table(b.twist)
-
-    def xy_z(O, I):  # O(I(x,y), t(z))
-        return O, (I, 0, 1), (tw, 2)
-
-    def x_yz(O, I):  # O(t(x), I(y,z))
-        return O, (tw, 0), (I, 1, 2)
-
-    axioms = (
-        (xy_z(L, R), x_yz(R, L)),
-        (x_yz(L, L), xy_z(L, L)),
-        (xy_z(L, L), x_yz(L, R)),
-        (xy_z(R, L), x_yz(R, R)),
-        (x_yz(R, R), xy_z(R, R)),
-    )
-    subs = tuple(
-        scan_identity(f"dialgebra-axiom-{n}", space.tuples(3),
-                      law(space, term(1, *lhs), term(-1, *rhs)))
-        for n, (lhs, rhs) in enumerate(axioms, start=1)
-    )
+    """The five twisted axioms tying the two products together,
+    dialgebra-axiom-1 .. 5 of ``LAWS``, numbered left to right as the
+    defining chain of equalities decomposes."""
+    subs = tuple(_scan(f"dialgebra-axiom-{n}", b, L=b.prod_left, R=b.prod_right)
+                 for n in range(1, 6))
     return CheckReport("dialgebra", subreports=subs)
 
 
@@ -360,51 +391,8 @@ def check_module(mb: ModuleBundle) -> CheckReport:
     pre = check_color_leibniz(mb.algebra)
     if not pre.passed:
         return CheckReport("module", precondition_failure=pre)
-    alg = mb.algebra
-    A, M = alg.space, mb.module_space
-    B, tA = tables.table(alg.bracket), tables.table(alg.twist)
-    aL, aR = tables.table(mb.act_left), tables.table(mb.act_right)
-    tM = tables.table(mb.module_twist)
-    E, E_am, E_ma = _signs(alg), _signs(alg, A, M), _signs(alg, M, A)
-
-    twist_left = law(  # tM(x.m) == t(x).t(m)
-        M, term(1, tM, (aL, 0, 1)), term(-1, aL, (tA, 0), (tM, 1)))
-    twist_right = law(  # tM(m*x) == t(m)*t(x)
-        M, term(1, tM, (aR, 0, 1)), term(-1, aR, (tM, 0), (tA, 1)))
-    bracket_left = law(  # [x,y].t(m) == t(x).(y.m) - eps(x,y) t(y).(x.m)
-        M,
-        term(1, aL, (B, 0, 1), (tM, 2)),
-        term(-1, aL, (tA, 0), (aL, 1, 2)),
-        term(1, aL, (tA, 1), (aL, 0, 2), eps=[(E, 0, 1)]),
-    )
-    bracket_right = law(  # t(m)*[x,y] == (x.m)*t(y) + eps(x,m) t(x).(m*y)
-        M,
-        term(1, aR, (tM, 2), (B, 0, 1)),
-        term(-1, aR, (aL, 0, 2), (tA, 1)),
-        term(-1, aL, (tA, 0), (aR, 2, 1), eps=[(E_am, 0, 2)]),
-    )
-    mixed = law(  # t(x).(m*y) == (x.m)*t(y) + eps(m,x) t(m)*[x,y]
-        M,
-        term(1, aL, (tA, 0), (aR, 1, 2)),
-        term(-1, aR, (aL, 0, 1), (tA, 2)),
-        term(-1, aR, (tM, 1), (B, 0, 2), eps=[(E_ma, 1, 0)]),
-    )
-
-    pairs_xm = [(x, m) for x in range(A.dim) for m in range(M.dim)]
-    pairs_mx = [(m, x) for m in range(M.dim) for x in range(A.dim)]
-    triples_xym = [
-        (x, y, m) for x in range(A.dim) for y in range(A.dim) for m in range(M.dim)
-    ]
-    triples_xmy = [
-        (x, m, y) for x in range(A.dim) for m in range(M.dim) for y in range(A.dim)
-    ]
-    subs = (
-        scan_identity("module-twist-left", pairs_xm, twist_left),
-        scan_identity("module-twist-right", pairs_mx, twist_right),
-        scan_identity("module-bracket-left", triples_xym, bracket_left),
-        scan_identity("module-bracket-right", triples_xym, bracket_right),
-        scan_identity("module-mixed", triples_xmy, mixed),
-    )
+    subs = tuple(_scan(law_id, mb, B=mb.algebra.bracket, L=mb.act_left, R=mb.act_right)
+                 for law_id in LAWS if law_id.startswith("module-"))
     return CheckReport("module", subreports=subs)
 
 

@@ -1,8 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success / all checks pass, 1 identity violations or a
-construction refusing its input, 2 malformed input, usage errors or an
-output path that cannot be written.
+Exit codes: 0 success, 1 identity violations or a construction refusing
+its input, 2 malformed input, usage errors or an unwritable output path.
 
 Input paths name JSON documents on disk; a path whose file does not
 exist but whose basename matches a built-in fixture (for instance
@@ -58,9 +57,7 @@ def _load(path):
     return doc, parse_document(doc)
 
 
-def _check_output(path):
-    """Refuse an output path in a directory that does not exist, before
-    the input is read or anything is built."""
+def _check_output(path):  # before the input is read or anything built
     folder = os.path.dirname(path) or "."
     if path != "-" and not os.path.isdir(folder):
         raise InputError(f"cannot write {path}: no such directory {folder}")

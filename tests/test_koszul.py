@@ -110,3 +110,19 @@ def test_every_koszul_law_is_covariant(laws, N, grading):
                     assert vector(twisted_defect(key)) == want, (kind, identity_id, key)
     assert checked == {law for law in ALL_LAWS - NOT_KOSZUL
                        if grading == "trivial" or not law.startswith("dialgebra")}
+
+
+def test_laws_table_is_what_the_covariance_test_covers():
+    """checkers.LAWS holds every scanned law but the Hom-associator
+    (bundles.associator_law), with the module key spaces used above (its S
+    is the module); exactly the laws left out above list their own eps
+    factors, and the cyclic sums carry the prefactor checked above."""
+    assert set(checkers.LAWS) == ALL_LAWS - {"hom-associativity"}
+    assert {law_id: checkers.LAWS[law_id][0] for law_id in MODULE_KEYS} == {
+        law_id: spaces.replace("M", "S") for law_id, spaces in MODULE_KEYS.items()}
+    own = {law_id for law_id, (_, _, terms) in checkers.LAWS.items()
+           if any(len(term) == 3 for term in terms)}
+    assert own == NOT_KOSZUL
+    prefactors = {law_id: prefactor for law_id, (_, prefactor, _) in checkers.LAWS.items()
+                  if prefactor}
+    assert prefactors == {**PREFACTOR, "flexible-akivis-relation": (2, 0)}
