@@ -476,8 +476,8 @@ def cocycle(bichar):
 
 def cocycle_twist(bundle):
     """The bundle with each k-ary operation scaled at argument degrees
-    g_1..g_k by prod_{p<q} sigma(g_p, g_q) and eps replaced by rho (a
-    module: its algebra twisted too).  Twist maps stay as they are.  A law
+    g_1..g_k by sigma(g_1, .., g_k) and eps replaced by rho (a module: its
+    algebra twisted too).  Twist maps stay as they are.  A law
     written by the Koszul sign rule keeps its violations: its defect at a
     basis tuple is multiplied by the sigma factor of its first term's
     argument order."""
