@@ -163,22 +163,13 @@ BUNDLE_TYPES = {
 }
 
 
-def associator_law(product: MultilinearMap, twist: EvenMap, sign=1):
-    """sign * (product(product(x,y), t(z)) - product(t(x), product(y,z))) on
-    basis triples: the Hom-associator, or with sign -1 the defect of
-    Hom-associativity."""
-    P, tw = tables.table(product), tables.table(twist)
-    return tables.law(
-        product.codomain,
-        tables.term(sign, P, (P, 0, 1), (tw, 2)),
-        tables.term(-sign, P, (tw, 0), (P, 1, 2)),
-    )
-
-
 def associator_map(product: MultilinearMap, twist: EvenMap) -> MultilinearMap:
     """Full ternary structure table of the twisted associator."""
+    from .checkers import bind_law  # checkers builds on this module
+
     space = product.codomain
-    return tables.materialize((space,) * 3, space, associator_law(product, twist))
+    return tables.materialize((space,) * 3, space, bind_law(
+        "hom-associator", {"S": space}, None, P=product, tS=twist))
 
 
 @_once_per_bundle
@@ -190,5 +181,7 @@ def is_multiplicative(bundle) -> bool:
 
 def is_sign_commutative(product: MultilinearMap, bichar) -> bool:
     """product(x, y) == eps(x, y) * product(y, x) on all basis pairs."""
-    commutator = tables.commutator(product, bichar)
+    from .checkers import bind_law
+
+    commutator = bind_law("commutator", {"S": product.codomain}, bichar, P=product)
     return all(commutator(key) is None for key in product.codomain.tuples(2))

@@ -13,10 +13,12 @@ the formula and signed by the Koszul rule, read off each term's leaf order
 at import: eps(k[p], k[q]) for each pair of key positions p < q that
 appear as q .. p, times the law's prefactor, each eps(p,q) eps(q,p)
 cancelled.  A term that does not follow the rule lists its own factors.
-The Hom-associator is ``bundles.associator_law``.  A checker binds a
-law's operation names to the bundle's maps and scans it on compiled
-integer tables (``tables``), so the scalar kernels are off the scan path;
-a nonzero defect stays integers (``tables.Defect``) until it is read.
+The derived maps (the commutator, the Hom-associator, the dialgebra
+bracket, the opposite product) are entries too.  ``bind_law`` binds a
+law's operation names to maps on compiled integer tables (``tables``),
+for a checker's scan or for a map that ``tables.materialize`` builds, so
+the scalar kernels are off the scan path; a nonzero defect stays
+integers (``tables.Defect``) until it is read.
 
 Every scan runs in one thread: worker threads were measured 20-40%
 slower under the interpreter lock.  A checker that takes a bundle
@@ -37,7 +39,6 @@ from .bundles import (
     NHLPBundle,
     NonAssocBundle,
     _once_per_bundle,
-    associator_law,
     associator_map,
     is_sign_commutative,
 )
@@ -51,7 +52,6 @@ from .linalg import (
     endomorphism_defects,
 )
 from .report import CheckReport, Violation, sorted_violations
-from .tables import law
 
 __all__ = [
     "LAWS",
@@ -100,10 +100,11 @@ def _cyclic(coefficient, monomial, *own):
 # own, or A, the acting algebra's; the prefactor (p, q) is eps(k[p], k[q]).
 # A term is (coefficient, monomial), a monomial a key position p, ("t", p)
 # (the twist of e_k[p]), ("t", inner) or (name, *arguments), the name bound
-# by the checker: B bracket, T ternary, P product, C commutator, L and R the
+# by ``bind_law``: B bracket, T ternary, P product, C commutator, L and R the
 # left and right products or actions.  A term whose third entry lists its
 # own factors (p, q) breaks the Koszul rule; each such law says why.
 _BRACKET_CYCLE = _cyclic(1, ("B", ("B", 0, 1), ("t", 2)))
+_HOM_ASSOCIATIVITY = [(1, ("P", ("t", 0), ("P", 1, 2))), (-1, ("P", ("P", 0, 1), ("t", 2)))]
 LAWS = {
     "skew-symmetry": ("SS", None, [(1, ("B", 0, 1)), (1, ("B", 1, 0))]),
     "hom-jacobi": ("SSS", (2, 0), _BRACKET_CYCLE),
@@ -118,6 +119,7 @@ LAWS = {
     "flexible-akivis-relation": ("SSS", (2, 0), [
         *_BRACKET_CYCLE, *_cyclic(-1, ("T", 0, 1, 2)),
         *_cyclic(-1, ("T", 0, 1, 2), ((0, 1), (1, 2)))]),
+    "hom-associativity": ("SSS", None, _HOM_ASSOCIATIVITY),
     "color-hom-leibniz": ("SSS", None, [(1, ("B", ("t", 0), ("B", 1, 2))),
                                         (-1, ("B", ("B", 0, 1), ("t", 2))),
                                         (-1, ("B", ("t", 1), ("B", 0, 2)))]),
@@ -153,6 +155,12 @@ LAWS = {
     "module-mixed": ("ASA", None, [  # t(x).(m*y) - (x.m)*t(y) - eps(m,x) t(m)*[x,y]
         (1, ("L", ("t", 0), ("R", 1, 2)), ()), (-1, ("R", ("L", 0, 1), ("t", 2)), ()),
         (-1, ("R", ("t", 1), ("B", 0, 2)), ((1, 0),))]),
+    # the derived maps, which constructions materialize
+    "commutator": ("SS", None, [(1, ("P", 0, 1)), (-1, ("P", 1, 0))]),
+    "hom-associator": ("SSS", None, [(-c, m) for c, m in _HOM_ASSOCIATIVITY]),
+    "dialgebra-bracket": ("SS", None, [(1, ("R", 0, 1)), (-1, ("L", 1, 0))]),
+    # own factors (ROADMAP.md item 12): none, where the Koszul form is eps(x,y) P(y,x)
+    "opposite": ("SS", None, [(1, ("P", 1, 0), ())]),
 }
 
 
@@ -179,47 +187,55 @@ def _koszul(leaves, prefactor):
 
 
 def _compile(spaces, prefactor, terms):
-    """A law's key spaces, the maps and pairs of spaces of the Signs it
-    reads, and each term as (coefficient, outer, arguments as ``tables.term``
-    takes them, factors (spaces, p, q)); "tX" is the twist of space X."""
+    """The maps and pairs of spaces of the Signs a law reads, and each term
+    as (coefficient, outer, arguments, factors (spaces, p, q)), an argument
+    (None, p) for the key position p or (name, positions) for a table read
+    at key positions; "tX" is the twist of space X.  Binding a term is then
+    a lookup of its tables and Signs."""
     plan = []
     for coefficient, (name, *args), *own in terms:
         factors = own[0] if own else _koszul(_leaves((name, *args)), prefactor)
         plan.append((coefficient, "tS" if name == "t" else name,
-                     [("t" + spaces[a[1]], a[1]) if type(a) is tuple and a[0] == "t" else a
-                      for a in args],
-                     [(spaces[p] + spaces[q], p, q) for p, q in factors]))
-    names = {n for _, name, args, _ in plan
-             for n in (name, *(a[0] for a in args if type(a) is tuple))}
-    return spaces, names, {s for *_, factors in plan for s, _, _ in factors}, plan
+                     tuple((None, a) if type(a) is int else
+                           ("t" + spaces[a[1]] if a[0] == "t" else a[0], a[1:]) for a in args),
+                     tuple((spaces[p] + spaces[q], p, q) for p, q in factors)))
+    names = {n for _, name, args, _ in plan for n in (name, *(a[0] for a in args if a[0]))}
+    return names, {s for *_, factors in plan for s, _, _ in factors}, plan
 
 
 _PLANS = {law_id: _compile(*entry) for law_id, entry in LAWS.items()}
 
 
+def bind_law(law_id, space, bichar, alone=None, **ops):
+    """The defect (``tables.law``) of LAWS[law_id] on its key spaces,
+    space["S"] and space["A"]: each name bound to ops[name], "tS" and "tA"
+    the twists of S and A, each eps factor read from bichar (None for a
+    law that reads none); at a key k where alone(k), the first term's."""
+    names, pairs, plan = _PLANS[law_id]
+    bound = {name: tables.table(ops[name]) for name in names}
+    for s in pairs:
+        bound[s] = tables.signs(bichar, space[s[0]], space[s[1]])
+    terms = []
+    for coefficient, name, args, factors in plan:
+        terms.append(tables.term(
+            coefficient, bound[name], *[(bound[n], *ps) if n else ps for n, ps in args],
+            eps=[(bound[s], p, q) for s, p, q in factors] if factors else ()))
+    defect = tables.law(space["S"], *terms)
+    if alone is not None:
+        first, whole = tables.law(space["S"], terms[0]), defect
+        defect = lambda k: (first if alone(k) else whole)(k)  # noqa: E731
+    return defect
+
+
 def _scan(law_id, b, keys=None, alone=None, **ops):
-    """Scan LAWS[law_id] on b over keys (every basis tuple of its key spaces),
-    each name bound to ops[name], the twists to b's and its algebra's; at a
-    key k where alone(k), the defect is that of the first term alone."""
-    spaces, names, pairs, plan = _PLANS[law_id]
+    """Scan LAWS[law_id] on b over keys (every basis tuple of its key
+    spaces), bound to ops and b's twists by ``bind_law``."""
     alg = b.algebra if isinstance(b, ModuleBundle) else b
     space = {"S": b.space if alg is b else b.module_space, "A": alg.space}
-    ops.update(tS=getattr(b, b.TWIST[1]), tA=alg.twist)
-    table = {name: tables.table(ops[name]) for name in names}
-    signs = {s: tables.signs(alg.bichar, space[s[0]], space[s[1]]) for s in pairs}
-    terms = [
-        tables.term(coefficient, table[name],
-                    *[a if type(a) is int else (table[a[0]], *a[1:]) for a in args],
-                    eps=[(signs[s], p, q) for s, p, q in factors])
-        for coefficient, name, args, factors in plan
-    ]
-    defect = law(space["S"], *terms)
-    if alone is not None:
-        first, whole = law(space["S"], terms[0]), defect
-        defect = lambda k: (first if alone(k) else whole)(k)  # noqa: E731
+    ops["tS"], ops["tA"] = getattr(b, b.TWIST[1]), alg.twist
     if keys is None:
-        keys = product(*(range(space[s].dim) for s in spaces))
-    return scan_identity(law_id, keys, defect)
+        keys = product(*[range(space[s].dim) for s in LAWS[law_id][0]])
+    return scan_identity(law_id, keys, bind_law(law_id, space, alg.bichar, alone, **ops))
 
 
 @_once_per_bundle
@@ -323,8 +339,9 @@ def check_flexible_akivis_relation(b: AkivisBundle) -> CheckReport:
 def check_hom_associativity(product: MultilinearMap, twist: EvenMap) -> CheckReport:
     """product(t(x), product(y,z)) == product(product(x,y), t(z)); the
     defect is the Hom-associator with its sign flipped."""
-    defect = associator_law(product, twist, sign=-1)
-    return scan_identity("hom-associativity", product.codomain.tuples(3), defect)
+    space = product.codomain
+    return scan_identity("hom-associativity", space.tuples(3),
+                         bind_law("hom-associativity", {"S": space}, None, P=product, tS=twist))
 
 
 @_once_per_bundle

@@ -22,6 +22,7 @@ from .bundles import (
     is_multiplicative,
 )
 from .checkers import (
+    bind_law,
     check_akivis_identity,
     check_color_leibniz,
     check_dialgebra,
@@ -105,7 +106,7 @@ def nhlp_opposite(b: NHLPBundle) -> NHLPBundle:
     certified; for genuinely graded bundles the compatibility law of the
     opposite can fail, in which case this refuses with the report."""
     _require(check_nhlp(b), "nhlp_opposite input")
-    opposite = tables.law(b.space, tables.term(1, tables.table(b.product), 1, 0))  # P(e_y, e_x)
+    opposite = bind_law("opposite", {"S": b.space}, b.bichar, P=b.product)
     out = NHLPBundle(b.space, b.bichar, tables.materialize(b.product.spaces, b.space, opposite),
                      b.bracket, b.twist)
     _require(check_nhlp(out), "nhlp_opposite output")
@@ -140,41 +141,16 @@ def trivial_extension(b: LeibnizBundle) -> NHLPBundle:
     if not b.space.is_trivially_graded():
         raise InputError("trivial_extension needs a trivially graded bundle")
     _require(check_color_leibniz(b), "trivial_extension input")
-    space = b.space
-    unit_name = "u"
+    space, d = b.space, b.space.dim
     taken = {name for name, _ in space.basis}
-    k = 0
-    while unit_name in taken:
-        unit_name = f"u{k}"
-        k += 1
-    zero_deg = space.group.zero()
-    ext = GradedSpace(
-        space.field, space.group, space.basis + ((unit_name, zero_deg),)
-    )
-    d = space.dim
-    one = Scalar.one(space.field)
-
-    def lift(v: Vector) -> Vector:
-        return Vector(ext, dict(v.coeffs))
-
-    prod_table = {}
-    for i in range(d):
-        prod_table[(i, d)] = Vector(ext, {i: one})
-        prod_table[(d, i)] = Vector(ext, {i: one})
-    prod_table[(d, d)] = Vector(ext, {d: one})
-    br_table = {key: lift(v) for key, v in b.bracket.table.items()}
-    twist_rows = []
-    zero = Scalar.zero(space.field)
-    for i in range(d):
-        twist_rows.append(tuple(b.twist.rows[i]) + (zero,))
-    twist_rows.append((zero,) * d + (one,))
-    out = NHLPBundle(
-        ext,
-        b.bichar,
-        MultilinearMap.internal(ext, 2, prod_table),
-        MultilinearMap.internal(ext, 2, br_table),
-        EvenMap(ext, tuple(twist_rows)),
-    )
+    unit_name = next(n for n in ("u", *(f"u{k}" for k in range(d))) if n not in taken)
+    ext = GradedSpace(space.field, space.group, space.basis + ((unit_name, space.group.zero()),))
+    one, zero = Scalar.one(space.field), Scalar.zero(space.field)
+    prod_table = {key: Vector(ext, {i: one}) for i in range(d + 1) for key in ((i, d), (d, i))}
+    br_table = {key: Vector(ext, dict(v.coeffs)) for key, v in b.bracket.table.items()}
+    out = NHLPBundle(ext, b.bichar, MultilinearMap.internal(ext, 2, prod_table),
+                     MultilinearMap.internal(ext, 2, br_table),
+                     EvenMap(ext, [(*row, zero) for row in b.twist.rows] + [(zero,) * d + (one,)]))
     _require(check_nhlp(out), "trivial_extension output")
     return out
 
@@ -184,9 +160,8 @@ def leibniz_from_dialgebra(b: DialgebraBundle) -> NHLPBundle:
     product; the pair is a (trivially graded) Leibniz-Poisson bundle."""
     _require(check_dialgebra(b), "leibniz_from_dialgebra input")
     space = b.space
-    L, R = tables.table(b.prod_left), tables.table(b.prod_right)
-    bracket = tables.materialize((space, space), space, tables.law(
-        space, tables.term(1, R, 0, 1), tables.term(-1, L, 1, 0)))
+    bracket = tables.materialize((space, space), space, bind_law(
+        "dialgebra-bracket", {"S": space}, b.bichar, L=b.prod_left, R=b.prod_right))
     out = NHLPBundle(space, b.bichar, b.prod_left, bracket, b.twist)
     _require(check_nhlp(out), "leibniz_from_dialgebra output")
     return out

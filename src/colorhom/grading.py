@@ -21,8 +21,8 @@ class GradingGroup(Record):
     __slots__ = FIELDS = ("free_rank", "torsion_orders")
 
     def __post_init__(self):
-        if self.free_rank < 0:
-            raise InputError("free rank must be >= 0")
+        if not isinstance(self.free_rank, int) or self.free_rank < 0:
+            raise InputError(f"free rank {self.free_rank!r} must be an integer >= 0")
         for m in self.torsion_orders:
             if not isinstance(m, int) or m < 2:
                 raise InputError(f"torsion order {m!r} must be an integer >= 2")

@@ -95,8 +95,12 @@ class Vector(Record):
         clean = {}
         for i, c in (coeffs or {}).items():
             c = _scalar(space.field, c)
-            if not (0 <= i < space.dim):
-                raise InputError(f"basis index {i} out of range")
+            try:
+                inside = 0 <= i < space.dim
+            except TypeError:  # not a number
+                inside = False
+            if not inside:
+                raise InputError(f"basis index {i!r} out of range")
             if not c.is_zero():
                 clean[i] = c
         # set directly, not through Record.__init__: the endomorphism test
@@ -216,8 +220,12 @@ class MultilinearMap(Record):
             if len(key) != len(spaces):
                 raise InputError(f"key {key} has wrong arity")
             for i, sp in zip(key, spaces):
-                if not (0 <= i < sp.dim):
-                    raise InputError(f"index {i} out of range in key {key}")
+                try:
+                    inside = 0 <= i < sp.dim
+                except TypeError:  # not a number
+                    inside = False
+                if not inside:
+                    raise InputError(f"index {i!r} out of range in key {key}")
             if not isinstance(value, Vector) or value.space != codomain:
                 raise InputError(f"value at {key} is not a codomain vector")
             if value:
@@ -332,8 +340,8 @@ class EvenMap(MultilinearMap):
 
     def power(self, n: int) -> "EvenMap":
         """Exact n-th compositional power, n >= 0 (power 0 is the identity)."""
-        if n < 0:
-            raise InputError("map power must be >= 0")
+        if not isinstance(n, int) or n < 0:
+            raise InputError("map power must be an integer >= 0")
         result, base = None, self
         while n:
             if n & 1:
@@ -380,12 +388,13 @@ def commutator_map(product_map: MultilinearMap, bichar) -> MultilinearMap:
     """Sign-twisted commutator of a binary internal map:
     bracket(x, y) = product(x, y) - eps(x, y) * product(y, x)
     on homogeneous basis vectors, extended bilinearly."""
-    from . import tables  # tables builds on this module
+    from . import checkers, tables  # both build on this module
 
-    if product_map.arity != 2:
-        raise InputError("commutator needs a binary map")
-    return tables.materialize(product_map.spaces, product_map.codomain,
-                              tables.commutator(product_map, bichar))
+    space = product_map.codomain
+    if product_map.spaces != (space, space):
+        raise InputError("commutator needs a binary internal map")
+    return tables.materialize(product_map.spaces, space, checkers.bind_law(
+        "commutator", {"S": space}, bichar, P=product_map))
 
 
 def endomorphism_defects(f: EvenMap, ops):

@@ -26,15 +26,17 @@ Q-multilinear, so every law becomes a sum of integer products:
   numerator tuple of one with a zeta part; built once per bicharacter
   and pair of spaces (``signs``).
 
-A law is a sum of terms, each written with ``term`` the way the paper
-writes it.  On basis tuples k = (x, y, z),
+A law is a sum of terms, each built by ``term``; ``checkers.bind_law``
+builds them from the formulas of ``checkers.LAWS``.  On basis tuples
+k = (x, y, z),
 
-    term(-1, B, (t, 1), (B, 0, 2), eps=[(E, 0, 1)])
+    term(1, B, (t, 0), (B, 1, 2))
 
-is -eps(x,y) [t(y), [x,z]]: an argument is a key position p (e_k[p]),
+is [t(x), [y,z]]: an argument is a key position p (e_k[p]),
 (twist, p) (t e_k[p]) or (inner, p, q) (inner(e_k[p], e_k[q])), and the
 outer map is an operation, or a twist applied to one inner product: a
-twisted argument is the unary twist table read at key position p.
+twisted argument is the unary twist table read at key position p.  A
+sign factor (signs, p, q) multiplies a term by eps(deg k[p], deg k[q]).
 Only ``term`` knows the layout: it picks the contraction rows of the
 twisted argument and the flattened vector contracted with them, and it
 computes the term's denominator.  An eps factor stays one number per
@@ -57,11 +59,12 @@ eps value has a zeta part, through the scalar kernel's ``product`` and
 ``times_zeta``: an integer convolution folded back by the rows of
 ``FieldDescriptor.reduction``, with no gcd.
 
-A derived map is a law too, kept as a MultilinearMap by ``materialize``:
-the ``commutator`` (whose zero test is eps-commutativity), the
-Hom-associator, the dialgebra bracket and every map a construction
-outputs: ``composed`` builds the twists and the scaling, f o op or op
-with f applied to one argument, and the opposite product is one term.
+A derived map is a law too, kept as a MultilinearMap by ``materialize``.
+The commutator (whose zero test is eps-commutativity), the
+Hom-associator, the dialgebra bracket and the opposite product are
+entries of ``checkers.LAWS``.  ``composed``, generic in arity, builds
+the twists and the scaling a construction outputs, f o op or op with f
+applied to one argument, from one term.
 """
 
 from __future__ import annotations
@@ -151,7 +154,7 @@ class Table(Record):
         that source fills."""
         key = ("images", arg, id(twist))
         hit = self._memo.get(key)
-        if hit is not None and set(phases) <= set(hit[1]):
+        if hit is not None and hit[1].issuperset(phases):
             return hit[2]
         phases = tuple(sorted({*phases, *(hit[1] if hit else ())}))
         field = self.field
@@ -176,7 +179,7 @@ class Table(Record):
                         value[k] = o if old is None else [u + v for u, v in zip(old, o)]
             rows.append(tuple(_rotations([v.items() for v in values], d, red, phases)))
         out = (self.den * twist.den, tuple(rows))
-        self._memo[key] = (twist, phases, out)
+        self._memo[key] = (twist, frozenset(phases), out)
         return out
 
     def columns(self, phases):
@@ -271,7 +274,8 @@ def term(sign, outer, *args, eps=()):
     read at key positions; a basis vector becomes the unary table of the
     basis, with phase 0 alone.  The rows are built for the source's
     phases, or for every phase when an eps value has a zeta part.  For
-    example term(-1, B, (t, 1), (B, 0, 2), eps=[(E, 0, 1)]) is
+    example term(-1, B, (t, 1), (B, 0, 2)) is -[t(y), [x,z]], and the
+    factor (E, 0, 1) in ``eps``, E = signs(bichar, S, S), makes it
     -eps(x,y) [t(y), [x,z]]."""
     d, rows, at, rows_den = outer.field.degree, None, None, 1
     if len(outer.dims) == 1:
@@ -298,13 +302,6 @@ def term(sign, outer, *args, eps=()):
             tuple([(e.at, p, q) for e, p, q in eps]))
 
 
-def commutator(op, bichar):
-    """The law op(e_i, e_j) - eps(i,j) op(e_j, e_i) of a binary
-    MultilinearMap op."""
-    O, E = table(op), signs(bichar, *op.spaces)
-    return law(op.codomain, term(1, O, 0, 1), term(-1, O, 1, 0, eps=[(E, 0, 1)]))
-
-
 def law(space, *terms):
     """defect(key) -> the sum of the terms (``term``) at basis tuple key
     as a ``Defect``, or None when it is zero.  A term is (sign, den, pick,
@@ -323,8 +320,8 @@ def law(space, *terms):
     field = space.field
     d, red = field.degree, field.reduction
     n, zero = space.dim * d, (0,) * d
-    common = lcm(*(den for _, den, *_ in terms))
-    plan = [(sign * (common // den), *rest) for sign, den, *rest in terms]
+    common = lcm(*[t[1] for t in terms])
+    plan = [(t[0] * (common // t[1]), *t[2:]) for t in terms]
     # (value, id(vector)) -> value * vector; a vector is a table entry, or
     # a value here, so it lives as long as the law and its id stays its own
     zeta = {}

@@ -43,6 +43,8 @@ def test_group_validation():
     with pytest.raises(InputError):
         GradingGroup(-1, ())
     with pytest.raises(InputError):
+        GradingGroup("a", ())
+    with pytest.raises(InputError):
         GradingGroup(0, (0,))
     with pytest.raises(InputError):
         GradingGroup(0, (2, -3))

@@ -12,7 +12,9 @@ carries the prefactor eps(z, x) in every rotation, is also multiplied by
 rho(z, x) / eps(z, x).  The check is exact, tuple by tuple, on
 tests/test_engine.py's random bundles, modules over a nonzero bracket
 among them; preconditions are replaced by passing reports, so that every
-law is evaluated on every bundle.
+law is evaluated on every bundle.  The derived maps that ``commutator_map``
+and ``associator_map`` materialize are compared entry by entry the same
+way.
 """
 
 import random
@@ -21,7 +23,8 @@ import pytest
 
 import genutil as G
 from colorhom import checkers
-from colorhom.bundles import ModuleBundle
+from colorhom.bundles import ModuleBundle, associator_map
+from colorhom.linalg import commutator_map
 from colorhom.report import CheckReport
 from test_engine import ALL_LAWS, CASES, DIM, checks_for, random_bundles
 
@@ -32,6 +35,9 @@ from test_engine import ALL_LAWS, CASES, DIM, checks_for, random_bundles
 # module-mixed differ from the Leibniz law of the semidirect product
 NOT_KOSZUL = {"flexible-literal", "flexible-polarized", "flexible-akivis-relation",
               "module-bracket-right", "module-mixed"}
+
+# the derived maps of checkers.LAWS, which no checker scans
+DERIVED = {"commutator", "hom-associator", "dialgebra-bracket", "opposite"}
 
 # the prefactor (p, q), eps(k[p], k[q]), of every term of a cyclic sum
 PREFACTOR = {"hom-jacobi": (2, 0), "hom-akivis": (2, 0)}
@@ -108,21 +114,39 @@ def test_every_koszul_law_is_covariant(laws, N, grading):
                     want = vector(defect(key))
                     want = None if want is None else want.scaled(factor)
                     assert vector(twisted_defect(key)) == want, (kind, identity_id, key)
+            # the derived maps of each binary operation, entry by entry
+            for op, twisted_op in zip(b.ops(), twisted.ops()):
+                if isinstance(b, ModuleBundle) or op.arity != 2:
+                    continue
+                for law_id, mine, theirs in (
+                        ("commutator", commutator_map(op, eps),
+                         commutator_map(twisted_op, twisted.bichar)),
+                        ("hom-associator", associator_map(op, b.twist),
+                         associator_map(twisted_op, twisted.twist))):
+                    checked.add(law_id)
+                    for key in b.space.tuples(mine.arity):
+                        factor = sigma(*(b.space.degree(k) for k in key))
+                        want = mine.on_basis(*key).scaled(factor)
+                        assert theirs.on_basis(*key) == want, (kind, law_id, key)
     assert checked == {law for law in ALL_LAWS - NOT_KOSZUL
-                       if grading == "trivial" or not law.startswith("dialgebra")}
+                       if grading == "trivial" or not law.startswith("dialgebra")} | {
+                           "commutator", "hom-associator"}
 
 
 def test_laws_table_is_what_the_covariance_test_covers():
-    """checkers.LAWS holds every scanned law but the Hom-associator
-    (bundles.associator_law), with the module key spaces used above (its S
-    is the module); exactly the laws left out above list their own eps
-    factors, and the cyclic sums carry the prefactor checked above."""
-    assert set(checkers.LAWS) == ALL_LAWS - {"hom-associativity"}
+    """checkers.LAWS holds every scanned law and the derived maps, with
+    the module key spaces used above (its S is the module); exactly the
+    laws left out above and the opposite product, whose Koszul form would
+    be eps(x,y) P(y,x), list their own eps factors, and the cyclic sums
+    carry the prefactor checked above.  The commutator and the
+    Hom-associator are checked above as maps; the dialgebra bracket lives
+    on ungraded spaces, where every eps is 1."""
+    assert set(checkers.LAWS) == ALL_LAWS | DERIVED
     assert {law_id: checkers.LAWS[law_id][0] for law_id in MODULE_KEYS} == {
         law_id: spaces.replace("M", "S") for law_id, spaces in MODULE_KEYS.items()}
     own = {law_id for law_id, (_, _, terms) in checkers.LAWS.items()
            if any(len(term) == 3 for term in terms)}
-    assert own == NOT_KOSZUL
+    assert own == NOT_KOSZUL | {"opposite"}
     prefactors = {law_id: prefactor for law_id, (_, prefactor, _) in checkers.LAWS.items()
                   if prefactor}
     assert prefactors == {**PREFACTOR, "flexible-akivis-relation": (2, 0)}

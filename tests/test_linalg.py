@@ -87,6 +87,8 @@ def test_vector_rejects_foreign_space_and_bad_index():
     sp, other = trivial_space(2), trivial_space(3)
     with pytest.raises(InputError):
         Vector(sp, {5: 1})
+    with pytest.raises(InputError, match="basis index '0' out of range"):
+        Vector(sp, {"0": 1})
     with pytest.raises(InputError):
         Vector(sp, {0: 1}) + Vector(other, {0: 1})
 
@@ -148,6 +150,8 @@ def test_power_and_identity():
     assert not m.is_identity()
     with pytest.raises(InputError):
         m.power(-1)
+    with pytest.raises(InputError):
+        m.power(1.5)
 
 
 def test_from_images_round_trip():
@@ -228,6 +232,8 @@ def test_multilinear_map_validation_and_evaluation():
     assert m.on_basis(1, 1).is_zero()
     with pytest.raises(InputError):
         MultilinearMap.internal(sp, 2, {(0, 5): Vector.basis(sp, 0)})
+    with pytest.raises(InputError, match="index '0' out of range"):
+        MultilinearMap.internal(sp, 2, {("0", 1): Vector.basis(sp, 0)})
     with pytest.raises(InputError):
         MultilinearMap.internal(sp, 2, {(0,): Vector.basis(sp, 0)})
 
@@ -334,6 +340,12 @@ def test_commutator_map_trivial_grading():
     assert br.on_basis(0, 1) == Vector(sp, {0: 1, 1: -1})
     assert br.on_basis(1, 0) == Vector(sp, {0: -1, 1: 1})
     assert br.on_basis(0, 0).is_zero()
+    # the commutator is a law on the codomain: its arguments must live there
+    wide = trivial_space(3)
+    outside = MultilinearMap((sp, sp), wide, {(0, 1): Vector.basis(wide, 2)})
+    for m in (outside, MultilinearMap.internal(sp, 1, {})):
+        with pytest.raises(InputError, match="binary internal map"):
+            commutator_map(m, eps)
 
 
 def test_commutator_map_super_sign():
