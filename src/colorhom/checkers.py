@@ -48,7 +48,6 @@ from .linalg import (
     EvenMap,
     MultilinearMap,
     check_evenness,
-    commutator_map,
     endomorphism_defects,
 )
 from .report import CheckReport, Violation, sorted_violations
@@ -100,9 +99,9 @@ def _cyclic(coefficient, monomial, *own):
 # own, or A, the acting algebra's; the prefactor (p, q) is eps(k[p], k[q]).
 # A term is (coefficient, monomial), a monomial a key position p, ("t", p)
 # (the twist of e_k[p]), ("t", inner) or (name, *arguments), the name bound
-# by ``bind_law``: B bracket, T ternary, P product, C commutator, L and R the
-# left and right products or actions.  A term whose third entry lists its
-# own factors (p, q) breaks the Koszul rule; each such law says why.
+# by ``bind_law``: B bracket, T ternary, P product, L and R the left and
+# right products or actions.  A term whose third entry lists its own
+# factors (p, q) breaks the Koszul rule; each such law says why.
 _BRACKET_CYCLE = _cyclic(1, ("B", ("B", 0, 1), ("t", 2)))
 _HOM_ASSOCIATIVITY = [(1, ("P", ("t", 0), ("P", 1, 2))), (-1, ("P", ("P", 0, 1), ("t", 2)))]
 LAWS = {
@@ -125,9 +124,12 @@ LAWS = {
                                         (-1, ("B", ("t", 1), ("B", 0, 2)))]),
     "leibniz-symmetrized-action": ("SSS", None, [(1, ("B", ("B", 0, 1), ("t", 2))),
                                                  (1, ("B", ("B", 1, 0), ("t", 2)))]),
-    "leibniz-derived-bracket": ("SSS", None, [(1, ("C", ("B", 0, 1), ("t", 2))),
-                                              (1, ("C", ("t", 1), ("B", 0, 2))),
-                                              (-1, ("B", ("t", 0), ("C", 1, 2)))]),
+    # C(B(x,y), t z) + eps(x,y) C(t y, B(x,z)) - B(t x, C(y,z)) written out in the
+    # bracket: the commutator C(u,v) = B(u,v) - eps(u,v) B(v,u)
+    "leibniz-derived-bracket": ("SSS", None, [
+        (1, ("B", ("B", 0, 1), ("t", 2))), (-1, ("B", ("t", 2), ("B", 0, 1))),
+        (1, ("B", ("t", 1), ("B", 0, 2))), (-1, ("B", ("B", 0, 2), ("t", 1))),
+        (-1, ("B", ("t", 0), ("B", 1, 2))), (1, ("B", ("t", 0), ("B", 2, 1)))]),
     "leibniz-compatibility": ("SSS", None, [(1, ("B", ("t", 0), ("P", 1, 2))),
                                             (-1, ("P", ("B", 0, 1), ("t", 2))),
                                             (-1, ("P", ("t", 1), ("B", 0, 2)))]),
@@ -361,6 +363,7 @@ def check_leibniz_consequences(b: LeibnizBundle) -> CheckReport:
       (x.y + eps(x,y) y.x) . t(z) == 0
       [x.y, t(z)] + eps(x,y) [t(y), x.z] == t(x) . [y,z]
 
+    LAWS writes the second with each commutator out in the product.
     Precondition: the bundle passes the Leibniz law itself; both scans
     must then come back clean, never independently."""
     pre = check_color_leibniz(b)
@@ -368,8 +371,7 @@ def check_leibniz_consequences(b: LeibnizBundle) -> CheckReport:
         return CheckReport("leibniz-consequences", precondition_failure=pre)
     subs = (
         _scan("leibniz-symmetrized-action", b, B=b.bracket),
-        _scan("leibniz-derived-bracket", b, B=b.bracket,
-              C=commutator_map(b.bracket, b.bichar)),
+        _scan("leibniz-derived-bracket", b, B=b.bracket),
     )
     return CheckReport("leibniz-consequences", subreports=subs)
 

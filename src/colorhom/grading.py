@@ -10,6 +10,7 @@ and torsion conditions need checking.
 from __future__ import annotations
 
 from itertools import product
+from operator import index
 
 from .errors import InputError
 from .record import Record
@@ -32,7 +33,10 @@ class GradingGroup(Record):
         return self.free_rank + len(self.torsion_orders)
 
     def canon(self, coords):
-        coords = tuple(int(c) for c in coords)
+        try:
+            coords = tuple(index(c) for c in coords)
+        except TypeError:  # no float or string, not even 1.0 or "3"
+            raise InputError(f"degree coordinates {coords!r} must be integers") from None
         if len(coords) != self.rank:
             raise InputError(
                 f"expected {self.rank} coordinates, got {len(coords)}"

@@ -17,6 +17,7 @@ holds can change after the bundle is certified.
 from __future__ import annotations
 
 from itertools import product
+from operator import index
 from types import MappingProxyType
 
 from ._backend import kernel as _K
@@ -96,8 +97,8 @@ class Vector(Record):
         for i, c in (coeffs or {}).items():
             c = _scalar(space.field, c)
             try:
-                inside = 0 <= i < space.dim
-            except TypeError:  # not a number
+                inside = 0 <= index(i) < space.dim
+            except TypeError:  # not an integer
                 inside = False
             if not inside:
                 raise InputError(f"basis index {i!r} out of range")
@@ -221,8 +222,8 @@ class MultilinearMap(Record):
                 raise InputError(f"key {key} has wrong arity")
             for i, sp in zip(key, spaces):
                 try:
-                    inside = 0 <= i < sp.dim
-                except TypeError:  # not a number
+                    inside = 0 <= index(i) < sp.dim
+                except TypeError:  # not an integer
                     inside = False
                 if not inside:
                     raise InputError(f"index {i!r} out of range in key {key}")

@@ -30,6 +30,7 @@ from colorhom.errors import InputError
 from colorhom.fixtures import fixture
 from colorhom.grading import Bicharacter, TRIVIAL_GROUP
 from colorhom.linalg import EvenMap, GradedSpace, MultilinearMap, Vector
+from colorhom.record import replace
 from colorhom.scalars import Scalar, cyclotomic_field
 
 
@@ -52,6 +53,17 @@ def L2():
 @pytest.fixture(scope="module")
 def NA2():
     return fixture("nonassoc-NA2").bundle
+
+
+@pytest.mark.parametrize("name, changes, message", [
+    ("leibniz-L2", {"bichar": fixture("leibniz-S1").bundle.bichar},
+     "bicharacter group/field does not match"),
+    ("module-M", {"module_space": fixture("leibniz-S1").bundle.space},
+     "module space must share the algebra's field and group"),
+], ids=["bicharacter-of-another-group", "module-space-of-another-group"])
+def test_bundle_refuses_spaces_of_another_group(name, changes, message):
+    with pytest.raises(InputError, match=message):
+        replace(fixture(name).bundle, **changes)
 
 
 # ---------------------------------------------------------------------------

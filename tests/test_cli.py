@@ -105,6 +105,48 @@ def test_check_machine_report_is_json(capsys):
     assert entry["advisory"] is True and entry["passed"] is False
 
 
+def _without_skew(doc):
+    """akivis-A with its [e2,e1] entry removed: the bracket is not eps-skew."""
+    doc["ops"]["bracket"] = [e for e in doc["ops"]["bracket"] if e["args"] != [1, 0]]
+    return doc
+
+
+def _over_broken_algebra(doc):
+    """module-M over leibniz-L2-broken, an algebra that fails the Leibniz law."""
+    doc["algebra"] = fixture_document("leibniz-L2-broken")
+    return doc
+
+
+@pytest.mark.parametrize("name, edit, skipped", [
+    ("akivis-A", _without_skew,
+     [("hom-akivis", False, "skew-symmetry"), ("hom-jacobi", True, "skew-symmetry")]),
+    ("module-M", _over_broken_algebra, [("module", False, "color-hom-leibniz")]),
+])
+@pytest.mark.parametrize("report", ["text", "machine"])
+def test_check_failed_precondition_is_reported_skipped(tmp_path, capsys, name, edit,
+                                                       skipped, report):
+    """A law whose precondition fails is not scanned: the text report says
+    SKIPPED with the precondition, the machine report names it under
+    precondition_failed, and the document fails (exit 1)."""
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(edit(fixture_document(name))))
+    code, out, _ = run(capsys, "check", str(p), "--report", report)
+    assert code == 1
+    if report == "text":
+        for identity, advisory, pre in skipped:
+            tag = " (advisory)" if advisory else ""
+            assert f"{identity}: SKIPPED{tag} (precondition {pre} failed)" in out.splitlines()
+        assert out.splitlines()[-1] == "result: FAIL"
+        return
+    doc = json.loads(out)
+    assert doc["passed"] is False
+    entries = {e["identity"]: e for e in doc["results"]}
+    for identity, advisory, pre in skipped:
+        assert entries[identity] == {"advisory": advisory, "identity": identity,
+                                     "passed": False, "precondition_failed": pre,
+                                     "violations": []}
+
+
 def test_check_identity_filter_exact(capsys):
     code, out, _ = run(
         capsys, "check", "fixtures/leibniz-L2", "--identity", "skew-symmetry"
@@ -362,6 +404,17 @@ def test_twist_module_power_is_one_twist(monkeypatch, capsys):
                        "--power", "0")
     assert code == 0 and len(calls) == 3
     assert json.loads(out)["ops"] == fixture_document("module-M")["ops"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["fixtures/leibniz-L2", "-", "--power", "-1"], "--power must be >= 0"),
+    (["fixtures/leibniz-L2", "-", "--module"], "--module applies to module documents"),
+    (["fixtures/nonassoc-NA2", "-"], "twisting is defined for"),
+], ids=["negative-power", "module-flag-on-leibniz", "nonassociative"])
+def test_twist_refusals_exit_two(capsys, argv, message):
+    code, out, err = run(capsys, "twist", *argv)
+    assert code == 2
+    assert out == "" and message in err
 
 
 def test_twist_non_endomorphism_refused(tmp_path, capsys):

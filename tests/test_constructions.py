@@ -32,6 +32,7 @@ from colorhom.errors import ConstructionError, InputError
 from colorhom.fixtures import fixture
 from colorhom.grading import Bicharacter, TRIVIAL_GROUP
 from colorhom.linalg import EvenMap, GradedSpace, MultilinearMap, Vector
+from colorhom.record import replace
 from colorhom.scalars import Scalar, cyclotomic_field
 
 
@@ -88,6 +89,20 @@ def test_twist_leibniz_rejects_non_endomorphism(L2):
     beta = EvenMap.diagonal(L2.space, [1, 3])  # beta[e2,e2]=e1 but 9e1 needed
     with pytest.raises(ConstructionError):
         twist_leibniz(L2, beta, 1)
+
+
+@pytest.mark.parametrize("name, build, message", [
+    ("leibniz-L2", lambda b: twist_leibniz(b, EvenMap.identity(fixture("leibniz-S1").bundle.space),
+                                           1), "acts on the wrong space"),
+    ("leibniz-S1", lambda b: twist_leibniz(b, EvenMap(b.space, [[0, 1], [1, 0]]), 1),
+     "is not even"),
+    ("nhlp-trivext-L2",
+     lambda b: tensor_square_nhlp(replace(b, twist=EvenMap.diagonal(b.space, [2] * b.space.dim))),
+     "needs an identity twist map"),
+], ids=["twist-on-another-space", "twist-swapping-degrees", "tensor-square-of-a-twisted-bundle"])
+def test_construction_input_refusals(name, build, message):
+    with pytest.raises(InputError, match=message):
+        build(fixture(name).bundle)
 
 
 def test_twist_leibniz_rejects_negative_power(L2):

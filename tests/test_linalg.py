@@ -11,7 +11,7 @@ from vector_laws import cyclic_sum
 from colorhom import tables
 from colorhom.errors import InputError
 from colorhom.fixtures import fixture
-from colorhom.grading import Bicharacter, GradingGroup, TRIVIAL_GROUP
+from colorhom.grading import Bicharacter, GradingGroup, GroupElement, TRIVIAL_GROUP
 from colorhom.linalg import (
     EvenMap,
     GradedSpace,
@@ -42,6 +42,36 @@ def test_space_validation():
     g = GradingGroup(0, (2,))
     sp = GradedSpace.build(F1, g, [("a", (3,))])  # canonicalized mod 2
     assert sp.degree(0).coords == (1,)
+    # a degree coordinate is an integer: 1.7 is not rounded, "3" not parsed
+    for coords in [(1.7, 1), ("3", 1)]:
+        with pytest.raises(InputError, match="must be integers"):
+            GradedSpace.build(F1, GradingGroup(1, (2,)), [("x", coords)])
+
+
+_Z2 = GradingGroup(0, (2,))
+_SP = trivial_space(2)
+_PRODUCT = MultilinearMap.internal(_SP, 2, {(0, 1): Vector.basis(_SP, 0)})
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: GradedSpace(F1, TRIVIAL_GROUP, (("a", ()),)), "not in the group",
+                 id="degree-not-a-group-element"),
+    pytest.param(lambda: GradedSpace(F1, _Z2, (("a", GroupElement(_Z2, (3,))),)),
+                 "not canonical", id="degree-not-reduced"),
+    pytest.param(lambda: MultilinearMap((), _SP, {}), "arity >= 1", id="no-arguments"),
+    pytest.param(lambda: MultilinearMap((super_space(),), _SP, {}), "field or group mismatch",
+                 id="argument-of-another-group"),
+    pytest.param(lambda: MultilinearMap.internal(_SP, 1, {(0,): Vector.basis(super_space(), 0)}),
+                 "not a codomain vector", id="value-of-another-space"),
+    pytest.param(lambda: _PRODUCT.on_basis(0), "expected 2 indices", id="on-basis-arity"),
+    pytest.param(lambda: _PRODUCT(Vector.basis(_SP, 0)), "expected 2 arguments", id="call-arity"),
+    pytest.param(lambda: _PRODUCT(Vector.basis(_SP, 0), Vector.basis(trivial_space(3), 0)),
+                 "not a vector of the right space", id="call-on-another-space"),
+    pytest.param(lambda: EvenMap(_SP, [[1]]), "must be 2x2", id="matrix-shape"),
+])
+def test_linalg_refusals(build, message):
+    with pytest.raises(InputError, match=message):
+        build()
 
 
 def test_space_lookup():
@@ -89,6 +119,8 @@ def test_vector_rejects_foreign_space_and_bad_index():
         Vector(sp, {5: 1})
     with pytest.raises(InputError, match="basis index '0' out of range"):
         Vector(sp, {"0": 1})
+    with pytest.raises(InputError, match="basis index 1.0 out of range"):
+        Vector(sp, {1.0: 1})  # equal to an int, but no index
     with pytest.raises(InputError):
         Vector(sp, {0: 1}) + Vector(other, {0: 1})
 
@@ -234,6 +266,8 @@ def test_multilinear_map_validation_and_evaluation():
         MultilinearMap.internal(sp, 2, {(0, 5): Vector.basis(sp, 0)})
     with pytest.raises(InputError, match="index '0' out of range"):
         MultilinearMap.internal(sp, 2, {("0", 1): Vector.basis(sp, 0)})
+    with pytest.raises(InputError, match="index 1.0 out of range"):
+        MultilinearMap.internal(sp, 2, {(0, 1.0): Vector.basis(sp, 0)})
     with pytest.raises(InputError):
         MultilinearMap.internal(sp, 2, {(0,): Vector.basis(sp, 0)})
 

@@ -1,6 +1,7 @@
 """The benchmark's tracing still finds every name it wraps, every law
 check full_check runs goes through a wrapped name, and the fine layers it
-samples still see work.
+samples still see work, and that full_check builds no derived map to feed
+a Leibniz law.
 
 perfbench/tracing.py patches colorhom functions by name (``Spans``) and
 counts and samples calls on the kernel, Scalar, Vector, MultilinearMap
@@ -11,7 +12,7 @@ per-operation time as n/a."""
 import os
 import sys
 
-from colorhom import io
+from colorhom import io, tables
 from colorhom.fixtures import fixture_document
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -68,3 +69,18 @@ def test_every_law_check_full_check_reaches_is_spanned():
     # check_endomorphism is the library's report of the endomorphism test;
     # full_check asks bundles.is_multiplicative instead
     assert checks - {"checkers.check_endomorphism"} <= names
+
+
+def test_full_check_of_leibniz_documents_materializes_no_map(monkeypatch):
+    """The Leibniz consequences are laws in the bracket alone: full_check
+    on a Leibniz bundle whose law passes builds no derived map."""
+    docs = [fixture_document("leibniz-L2"), fixture_document("leibniz-S1")]
+    docs += [doc for _, doc, _ in gen.certify_dense(0) if doc["kind"] == "leibniz"]
+    bundles = [io.parse_document(doc).bundle for doc in docs]
+    calls = []
+    materialize = tables.materialize
+    monkeypatch.setattr(tables, "materialize", lambda *a: calls.append(a) or materialize(*a))
+    for bundle in bundles:
+        results, _ = io.full_check(bundle)
+        assert any(r.find("leibniz-derived-bracket") is not None for r, _ in results)
+    assert len(bundles) > 2 and calls == []
