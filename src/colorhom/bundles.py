@@ -175,8 +175,9 @@ def associator_map(product: MultilinearMap, twist: EvenMap) -> MultilinearMap:
 @_once_per_bundle
 def is_multiplicative(bundle) -> bool:
     """Does the bundle's twist map commute with all its structure maps?
-    Tested once per bundle."""
-    return is_endomorphism(bundle.twist, bundle.ops())
+    Tested once per bundle; the identity commutes with every map, so an
+    identity twist, read off its rows, is not scanned."""
+    return bundle.twist.is_identity() or is_endomorphism(bundle.twist, bundle.ops())
 
 
 def is_sign_commutative(product: MultilinearMap, bichar) -> bool:

@@ -114,11 +114,12 @@ def cmd_check(args):
     return 0 if report["passed"] else 1
 
 
+# construction -> (input kind, name of its function here, looked up at each call)
 _CONSTRUCTIONS = {
-    "akivis": ("nonassociative", akivis_from_algebra),
-    "dialg2leibniz": ("dialgebra", leibniz_from_dialgebra),
-    "trivext": ("leibniz", trivial_extension),
-    "tensor2": ("nhlp", None),
+    "akivis": ("nonassociative", "akivis_from_algebra"),
+    "dialg2leibniz": ("dialgebra", "leibniz_from_dialgebra"),
+    "trivext": ("leibniz", "trivial_extension"),
+    "tensor2": ("nhlp", "tensor_square_nhlp"),
 }
 
 
@@ -127,19 +128,19 @@ def cmd_construct(args):
         raise InputError(f"--variant applies to tensor2, not {args.what}")
     _check_output(args.output)
     doc, parsed = _load(args.input)
-    expected_kind, build = _CONSTRUCTIONS[args.what]
+    expected_kind, name = _CONSTRUCTIONS[args.what]
     bundle = parsed.bundle
     if bundle.kind != expected_kind:
         raise InputError(
             f"construct {args.what} expects a {expected_kind} bundle, got {bundle.kind}"
         )
     if args.what == "tensor2":
-        out, report = tensor_square_nhlp(bundle, variant=args.variant or "corrected")
+        out, report = globals()[name](bundle, variant=args.variant or "corrected")
         code = _write_certified(args.output, out)
         if code:
             print(report.describe(), file=sys.stderr)
         return code
-    return _write_certified(args.output, build(bundle))
+    return _write_certified(args.output, globals()[name](bundle))
 
 
 def cmd_twist(args):

@@ -20,7 +20,9 @@ Q-multilinear, so every law becomes a sum of integer products:
   O(alpha e_x, I(e_y, e_z)) = sum_q I[y][z][q] * L[x][q].  Both build
   column q = b*d + t only for the phases t that the contracted vector
   (I[y][z]) can fill: 0 for a basis vector, its table's own under
-  rational eps, else all d; the others are never read and stay ();
+  rational eps, else all d; the others are never read and stay ().
+  Under a diagonal twist s_x e_x with rational s_x, such as the identity,
+  row x is s_x times the operation's own entries, each rotated once;
 * ``Signs``: the values eps(deg i, deg j) over their own denominator, in
   the form ``law`` reads them: the numerator n of a rational value, the
   numerator tuple of one with a zeta part; built once per bicharacter
@@ -151,7 +153,10 @@ class Table(Record):
         in ``phases`` and of those an earlier call built, so one set of
         rows serves both; the others are (): a contraction reads column q
         only where its source is nonzero, and ``term`` passes every phase
-        that source fills."""
+        that source fills.  A twist whose table is diagonal with rational
+        entries, twist e_x = s_x e_x over twist.den, takes row x of
+        ``_rotated`` times s_x, with no field product (row x is empty
+        when s_x is 0); any other twist sums its products per column."""
         key = ("images", arg, id(twist))
         hit = self._memo.get(key)
         if hit is not None and hit[1].issuperset(phases):
@@ -159,28 +164,60 @@ class Table(Record):
         phases = tuple(sorted({*phases, *(hit[1] if hit else ())}))
         field = self.field
         d, red = field.degree, field.reduction
-        coords = self._memo.get("coords")  # shared by the builds for both arguments
-        if coords is None:
-            coords = self._memo["coords"] = tuple(
-                [tuple([_unflatten(v, d) for v in row]) for row in self.entries])
         other = self.dims[1 - arg]
-        rows = []
-        for x in range(self.dims[arg]):
-            # a rational twist coefficient s scales by integer multiplies
-            column = [(i, a, None if any(a[1:]) else a[0])
-                      for i, a in _unflatten(twist.entries[x], d)]
-            values = [{} for _ in range(other)]
-            for b, value in enumerate(values):
-                for i, a, s in column:
-                    entry = coords[i][b] if arg == 0 else coords[b][i]
-                    for k, o in entry:
-                        o = _K.product(a, o, red) if s is None else [s * c for c in o]
-                        old = value.get(k)
-                        value[k] = o if old is None else [u + v for u, v in zip(old, o)]
-            rows.append(tuple(_rotations([v.items() for v in values], d, red, phases)))
+        scales = [(e[0][1] if len(e) == 1 and e[0][0] == x * d else None) if e else 0
+                  for x, e in enumerate(twist.entries)]
+        if None not in scales:  # row x is s_x times row x of the untwisted images
+            grid, empty = self._rotated(arg, phases, {*scales} <= {0, 1}), ((),) * (other * d)
+            rows = [grid[x] if s == 1 else empty if s == 0 else
+                    tuple([tuple([(p, s * n) for p, n in c]) for c in grid[x]])
+                    for x, s in enumerate(scales)]
+        else:
+            coords = self._memo.get("coords")  # shared by the builds for both arguments
+            if coords is None:
+                coords = self._memo["coords"] = tuple(
+                    [tuple([_unflatten(v, d) for v in row]) for row in self.entries])
+            rows = []
+            for x in range(self.dims[arg]):
+                # a rational twist coefficient s scales by integer multiplies
+                column = [(i, a, None if any(a[1:]) else a[0])
+                          for i, a in _unflatten(twist.entries[x], d)]
+                values = [{} for _ in range(other)]
+                for b, value in enumerate(values):
+                    for i, a, s in column:
+                        entry = coords[i][b] if arg == 0 else coords[b][i]
+                        for k, o in entry:
+                            o = _K.product(a, o, red) if s is None else [s * c for c in o]
+                            old = value.get(k)
+                            value[k] = o if old is None else [u + v for u, v in zip(old, o)]
+                rows.append(tuple(_rotations([v.items() for v in values], d, red, phases)))
         out = (self.den * twist.den, tuple(rows))
         self._memo[key] = (twist, frozenset(phases), out)
         return out
+
+    def _rotated(self, arg, phases, keep=True):
+        """The rows of ``images`` under the identity twist, per argument
+        and set of phases: each entry rotated once, for arg 0, and
+        re-indexed for arg 1; the phases (0,) take the entries as they
+        are.  Kept for every diagonal twist unless ``keep`` is false: a
+        twist with an entry other than 0 and 1 keeps its scaled copy."""
+        key = ("rotated", arg, phases)
+        hit = self._memo.get(key)
+        if hit is None:
+            d, red = self.field.degree, self.field.reduction
+            if arg:
+                by_row = self._rotated(0, phases, keep)
+                hit = tuple([tuple([c for row in by_row for c in row[x * d:x * d + d]])
+                             for x in range(self.dims[1])])
+            elif phases == (0,):
+                pad = ((),) * (d - 1)
+                hit = tuple([tuple([c for v in row for c in (v, *pad)]) for row in self.entries])
+            else:
+                hit = tuple([tuple(_rotations([_unflatten(v, d) for v in row], d, red, phases))
+                             for row in self.entries])
+            if keep:
+                self._memo[key] = hit
+        return hit
 
     def columns(self, phases):
         """Contraction rows (den, columns) of a unary table T over T's

@@ -8,12 +8,13 @@ from collections import Counter
 
 import pytest
 
-from colorhom import checkers, cli, grading, io, linalg, tables
+from colorhom import bundles, checkers, cli, grading, io, linalg, tables
 from colorhom.checkers import check_flexible_alternative
 from colorhom.constructions import twist_leibniz
 from colorhom.errors import FrozenError
 from colorhom.fixtures import fixture, fixture_document, fixture_names
 from colorhom.linalg import EvenMap, Vector
+from colorhom.record import replace
 
 
 def fresh_bundle(name):
@@ -189,15 +190,22 @@ def test_parse_checks_each_map_for_evenness_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,scans",
     [
-        ["twist", "fixtures/module-M", "-", "--module", "--power", "3"],
-        ["twist", "fixtures/leibniz-L2", "-", "--power", "2"],
+        pytest.param(["twist", "fixtures/module-M", "-", "--module", "--power", "3"], 0,
+                     id="argv0"),
+        pytest.param(["twist", "fixtures/leibniz-L2", "-", "--power", "2"], 0, id="argv1"),
+        pytest.param(["twist", "fixtures/akivis-A", "-", "--map", "beta", "--power", "2"], 2,
+                     id="argv2"),
     ],
 )
-def test_cli_tests_the_twist_for_multiplicativity_once(monkeypatch, argv):
+def test_cli_tests_the_twist_for_multiplicativity_once(monkeypatch, argv, scans):
     """The twist constructions and the embedded report ask one stored
-    multiplicativity test of the bundle."""
+    multiplicativity test of the bundle.  An identity twist (module-M's
+    and leibniz-L2's alpha, and so their outputs') is multiplicative
+    without a scan; beta = diag(1, 3) on akivis-A is scanned once to
+    refuse or accept it, and the output's twist beta^2 once for its
+    report."""
     tested = []
     endomorphism_defects = linalg.endomorphism_defects
 
@@ -208,7 +216,33 @@ def test_cli_tests_the_twist_for_multiplicativity_once(monkeypatch, argv):
     patch_everywhere(monkeypatch, endomorphism_defects, counting)
     with contextlib.redirect_stdout(stdio.StringIO()):
         assert cli.main(argv) == 0
-    assert len(tested) == 1
+    assert len(tested) == scans
+
+
+def test_identity_twist_is_multiplicative_without_a_scan(monkeypatch):
+    """is_multiplicative reads an identity twist off its rows and scans
+    nothing; any other twist, a multiple of the identity included, is
+    still scanned and gets the right answer."""
+    tested = []
+    endomorphism_defects = linalg.endomorphism_defects
+
+    def counting(f, ops):
+        tested.append(f)
+        return endomorphism_defects(f, ops)
+
+    patch_everywhere(monkeypatch, endomorphism_defects, counting)
+    base = fresh_bundle("akivis-A")  # [e1, e2] = e2
+    space = base.space
+    assert base.twist.is_identity()
+    for twist, multiplicative, scans in [
+            (base.twist, True, 0),
+            (EvenMap.diagonal(space, [1, 3]), True, 1),
+            (EvenMap.diagonal(space, [2, 2]), False, 1)]:  # 2 [x,y] != [2x, 2y]
+        tested.clear()
+        bundle = replace(base, twist=twist)
+        assert bundles.is_multiplicative(bundle) is multiplicative
+        assert bundles.is_multiplicative(bundle) is multiplicative  # stored
+        assert len(tested) == scans
 
 
 def test_twist_along_own_twist_skips_evenness(monkeypatch):

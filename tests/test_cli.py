@@ -200,6 +200,22 @@ def test_construct_akivis_writes_certified_document(tmp_path, capsys):
     assert parsed.bundle.space.dim == 2
 
 
+def test_construct_calls_the_function_bound_in_cli(monkeypatch, capsys):
+    """construct looks its construction up in cli's globals at each call,
+    so a wrapper bound to that name, as a tracing span is, sees it run."""
+    calls = []
+    build = cli.akivis_from_algebra
+
+    def counting(b):
+        calls.append(b)
+        return build(b)
+
+    monkeypatch.setattr(cli, "akivis_from_algebra", counting)
+    code, out, _ = run(capsys, "construct", "akivis", "fixtures/nonassoc-NA2", "-")
+    assert code == 0 and json.loads(out)["kind"] == "akivis"
+    assert len(calls) == 1
+
+
 def test_construct_rejects_wrong_kind(capsys):
     code, _, err = run(capsys, "construct", "akivis", "fixtures/leibniz-L2", "-")
     assert code == 2
@@ -211,8 +227,7 @@ def test_construct_into_missing_directory_exits_two_before_any_work(
     """An output path in a directory that does not exist is a usage error,
     found before the input is read or anything is built."""
     built = []
-    monkeypatch.setitem(cli._CONSTRUCTIONS, "akivis",
-                        ("nonassociative", lambda b: built.append(b)))
+    monkeypatch.setattr(cli, "akivis_from_algebra", lambda b: built.append(b))
     out_path = tmp_path / "no" / "such" / "ak.json"
     code, _, err = run(capsys, "construct", "akivis", "fixtures/nonassoc-NA2", str(out_path))
     assert code == 2

@@ -15,7 +15,9 @@ Random bundles cover the fields Q (N=1), Q(i) (N=4) and Q(zeta_12)
 gradings whose bicharacter has entries 2 and 1/2 (so eps has
 denominators) or, over Q(i) and Q(zeta_12), 1+zeta and its inverse (so
 eps has a zeta part and is no root of unity, and a two-factor eps
-multiplies two such values); twist maps with fractional entries; tables
+multiplies two such values); twist maps with fractional entries, the
+identity, rational diagonal twists and diagonal twists with a zeta part
+(``TWIST_SHAPES``); tables
 and twists with rational values over Q(i) and Q(zeta_12); modules whose
 dimension differs from the algebra's; and both passing bundles and
 bundles with one planted +1 in a structure constant.
@@ -151,8 +153,29 @@ def random_table(rng, spaces, codomain, density=0.7, rational=False):
     return MultilinearMap(spaces, codomain, table)
 
 
-def random_twist(rng, space, rational=False):
-    """An even map with fractional entries."""
+# the twists of random_bundles: random matrices (diagonal where no two basis
+# vectors share a degree), the identity, rational diagonals with a zero and
+# a fractional entry, and diagonals with a zeta part in every entry.  Table.images
+# builds the rows of a rational diagonal twist from the operation's own
+# rotated entries, and those of any other twist in its general loop.
+TWIST_SHAPES = ("general", "identity", "diagonal", "zeta-diagonal")
+
+
+def random_twist(rng, space, rational=False, shape="general"):
+    """An even map of the given shape (``TWIST_SHAPES``); a general one
+    has fractional entries."""
+    F, n = space.field, space.dim
+    if shape == "identity":
+        return EvenMap.identity(space)
+    if shape == "diagonal":
+        # e_0 scales by +-1/3, a non-unit denominator, and e_1 by 0
+        values = [Fraction(rng.choice((-1, 1)), 3), 0]
+        values += [Fraction(rng.choice((-2, -1, 1, 2, 3)), rng.choice((1, 2)))
+                   for _ in range(n - 2)]
+        return EvenMap.diagonal(space, values[:n])
+    if shape == "zeta-diagonal":  # over Q(zeta_N), N > 1
+        return EvenMap.diagonal(
+            space, [random_scalar(rng, F, True) + Scalar.root(F) for _ in range(n)])
     zero = Scalar.zero(space.field)
     return EvenMap(space, tuple(
         tuple(random_scalar(rng, space.field, rational)
@@ -195,13 +218,13 @@ def planted(rng, m):
     return G.bump(m, *rng.choice(slots)) if slots else m
 
 
-def random_bundles(rng, N, grading, dim, rational=False):
+def random_bundles(rng, N, grading, dim, rational=False, shape="general"):
     """(kind, bundle) pairs: random (mostly failing), passing, and passing
     with one planted +1; with rational, every random table and twist has
-    rational values."""
+    rational values.  Every random twist has the given shape."""
     space, bichar = setup(rng, N, grading, dim)
     table = functools.partial(random_table, rng, rational=rational)
-    twist = functools.partial(random_twist, rng, rational=rational)
+    twist = functools.partial(random_twist, rng, rational=rational, shape=shape)
     mu = table((space,) * 2, space)
     tw = twist(space)
     skew = vector_laws.eps_antisymmetrized(table((space,) * 2, space), bichar)
@@ -321,22 +344,69 @@ def compare(b, reports):
         assert got == expected, report.identity_id
 
 
+def rational_diagonal(f):
+    """Is the EvenMap f diagonal with rational entries?  Read off its rows."""
+    return all(not any(c.nums[1:]) if i == j else c.is_zero()
+               for i, row in enumerate(f.rows) for j, c in enumerate(row))
+
+
+def image_paths(bundles, rotated):
+    """The paths the image rows of the bundles' operations took: True for
+    the rotated entries of a rational diagonal twist (``rotated`` maps
+    the id of each table whose ``_rotated`` ran to it), False for the general
+    loop (which keeps the unflattened entries as ``coords``).  Each table
+    must have taken the first exactly when it was imaged with a rational
+    diagonal twist, and the second exactly when it was imaged with
+    another."""
+    twists, ops = {}, []
+    for _, b in bundles:
+        for owner in (b, getattr(b, "algebra", b)):
+            twist = getattr(owner, owner.TWIST[1])
+            twists[id(tables.table(twist))] = twist
+            ops += owner.ops()
+    paths = set()
+    for op in ops:
+        memo = tables.table(op)._memo
+        imaged = {rational_diagonal(twists[id(hit[0])])
+                  for key, hit in memo.items() if key[0] == "images"}
+        assert (id(tables.table(op)) in rotated) == (True in imaged)
+        assert ("coords" in memo) == (False in imaged)
+        paths |= imaged
+    return paths
+
+
 @pytest.mark.parametrize("N,grading,rational", [
     *(pytest.param(N, grading, False, id=f"{N}-{grading}") for N, grading in CASES),
     *(pytest.param(N, grading, True, id=f"{N}-{grading}-rational")
       for N, grading in RATIONAL_CASES)])
-def test_engine_matches_vector_expressions(scans, N, grading, rational):
+def test_engine_matches_vector_expressions(monkeypatch, scans, N, grading, rational):
     rng = random.Random(f"{N}-{grading}" + "-rational" * rational)
-    seen = set()
-    for dim in (0, 1, DIM[grading]):
-        for kind, b in random_bundles(rng, N, grading, dim, rational):
-            reports = scans(b)
-            assert reports, kind
-            compare(b, reports)
-            seen |= {report.identity_id for report in reports}
+    rotated, build = {}, tables.Table._rotated
+
+    def spy(table, *args):
+        rotated[id(table)] = table  # kept alive, so that no other table takes its id
+        return build(table, *args)
+
+    monkeypatch.setattr(tables.Table, "_rotated", spy)
     expected = ALL_LAWS if grading == "trivial" else {
         law for law in ALL_LAWS if not law.startswith("dialgebra")}
-    assert set(seen) == expected
+    for shape in TWIST_SHAPES if N > 1 else TWIST_SHAPES[:3]:
+        seen, violations = set(), 0
+        for dim in (0, 1, DIM[grading]):
+            bundles = random_bundles(rng, N, grading, dim, rational, shape)
+            for kind, b in bundles:
+                reports = scans(b)
+                assert reports, kind
+                compare(b, reports)
+                seen |= {report.identity_id for report in reports}
+                violations += sum(len(report.violations) for report in reports)
+            paths = image_paths(bundles, rotated)
+        assert set(seen) == expected, shape
+        assert violations, shape
+        # at the full dimension each shape reaches its own path (the identity
+        # twists of the passing dialgebras take the rotated rows under any)
+        if shape != "general":
+            assert (shape != "zeta-diagonal") in paths, shape
 
 
 def test_every_law_fails_somewhere(scans):

@@ -179,7 +179,10 @@ def test_power_and_identity():
     assert m.power(0) == EvenMap.identity(sp)
     assert m.power(3) == EvenMap.diagonal(sp, [8, 27])
     assert EvenMap.identity(sp).is_identity()
-    assert not m.is_identity()
+    assert EvenMap(sp, [[1, 0], [0, 1]]).is_identity()
+    # read off the rows: a multiple of the identity or an off-diagonal entry is not
+    for other in (m, EvenMap.diagonal(sp, [2, 2]), EvenMap(sp, [[1, 1], [0, 1]])):
+        assert not other.is_identity()
     with pytest.raises(InputError):
         m.power(-1)
     with pytest.raises(InputError):

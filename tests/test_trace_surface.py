@@ -24,7 +24,8 @@ import tracing  # noqa: E402
 
 def test_full_check_under_spans_and_counters():
     # certify-dense's 06-leibniz-6 has a twist that is not diagonal, so its
-    # endomorphism test adds Scalars; no fixture's full_check does
+    # endomorphism test adds Scalars; no fixture's full_check does: every
+    # fixture's twist is the identity, which is_multiplicative does not scan
     name, doc, _ = gen.certify_dense(0)[6]
     assert name == "06-leibniz-6"
     bundles = [io.parse_document(d).bundle
