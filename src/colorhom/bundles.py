@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 
-from . import tables
 from .errors import InputError
 from .linalg import EvenMap, MultilinearMap, check_evenness, is_endomorphism
 from .record import Record
@@ -165,11 +164,9 @@ BUNDLE_TYPES = {
 
 def associator_map(product: MultilinearMap, twist: EvenMap) -> MultilinearMap:
     """Full ternary structure table of the twisted associator."""
-    from .checkers import bind_law  # checkers builds on this module
+    from .checkers import derive  # checkers builds on this module
 
-    space = product.codomain
-    return tables.materialize((space,) * 3, space, bind_law(
-        "hom-associator", {"S": space}, None, P=product, tS=twist))
+    return derive("hom-associator", {"S": product.codomain}, P=product, tS=twist)
 
 
 @_once_per_bundle

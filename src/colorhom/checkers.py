@@ -14,9 +14,9 @@ at import: eps(k[p], k[q]) for each pair of key positions p < q that
 appear as q .. p, times the law's prefactor, each eps(p,q) eps(q,p)
 cancelled.  A term that does not follow the rule lists its own factors.
 The derived maps (the commutator, the Hom-associator, the dialgebra
-bracket, the opposite product) are entries too.  ``bind_law`` binds a
-law's operation names to maps on compiled integer tables (``tables``),
-for a checker's scan or for a map that ``tables.materialize`` builds, so
+bracket, the opposite product, the twists) are entries too.  ``bind_law``
+binds a law's operation names to maps on compiled integer tables
+(``tables``), for a checker's scan or for the map ``derive`` builds, so
 the scalar kernels are off the scan path; a nonzero defect stays
 integers (``tables.Defect``) until it is read.
 
@@ -54,6 +54,7 @@ from .report import CheckReport, Violation, sorted_violations
 
 __all__ = [
     "LAWS",
+    "derive",
     "scan_identity",
     "check_skew_symmetry",
     "check_akivis_identity",
@@ -100,8 +101,8 @@ def _cyclic(coefficient, monomial, *own):
 # A term is (coefficient, monomial), a monomial a key position p, ("t", p)
 # (the twist of e_k[p]), ("t", inner) or (name, *arguments), the name bound
 # by ``bind_law``: B bracket, T ternary, P product, L and R the left and
-# right products or actions.  A term whose third entry lists its own
-# factors (p, q) breaks the Koszul rule; each such law says why.
+# right products or actions, M a map to twist.  A term whose third entry
+# lists its own factors (p, q) breaks the Koszul rule; each such law says why.
 _BRACKET_CYCLE = _cyclic(1, ("B", ("B", 0, 1), ("t", 2)))
 _HOM_ASSOCIATIVITY = [(1, ("P", ("t", 0), ("P", 1, 2))), (-1, ("P", ("P", 0, 1), ("t", 2)))]
 LAWS = {
@@ -157,12 +158,18 @@ LAWS = {
     "module-mixed": ("ASA", None, [  # t(x).(m*y) - (x.m)*t(y) - eps(m,x) t(m)*[x,y]
         (1, ("L", ("t", 0), ("R", 1, 2)), ()), (-1, ("R", ("L", 0, 1), ("t", 2)), ()),
         (-1, ("R", ("t", 1), ("B", 0, 2)), ((1, 0),))]),
-    # the derived maps, which constructions materialize
+    # the derived maps, which constructions build by ``derive``
     "commutator": ("SS", None, [(1, ("P", 0, 1)), (-1, ("P", 1, 0))]),
     "hom-associator": ("SSS", None, [(-c, m) for c, m in _HOM_ASSOCIATIVITY]),
     "dialgebra-bracket": ("SS", None, [(1, ("R", 0, 1)), (-1, ("L", 1, 0))]),
     # own factors (ROADMAP.md item 12): none, where the Koszul form is eps(x,y) P(y,x)
     "opposite": ("SS", None, [(1, ("P", 1, 0), ())]),
+    # the twists t o M, and t on an action's algebra argument: no eps
+    "twisted-unary": ("S", None, [(1, ("t", ("M", 0)))]),
+    "twisted-binary": ("SS", None, [(1, ("t", ("M", 0, 1)))]),
+    "twisted-ternary": ("SSS", None, [(1, ("t", ("M", 0, 1, 2)))]),
+    "twisted-action-left": ("AS", None, [(1, ("M", ("t", 0), 1))]),
+    "twisted-action-right": ("SA", None, [(1, ("M", 0, ("t", 1)))]),
 }
 
 
@@ -227,6 +234,13 @@ def bind_law(law_id, space, bichar, alone=None, **ops):
         first, whole = tables.law(space["S"], terms[0]), defect
         defect = lambda k: (first if alone(k) else whole)(k)  # noqa: E731
     return defect
+
+
+def derive(law_id, space, bichar=None, **ops) -> MultilinearMap:
+    """The map whose value on each basis tuple of the key spaces of
+    LAWS[law_id] is that law, bound as by ``bind_law``."""
+    return tables.materialize(tuple(space[s] for s in LAWS[law_id][0]), space["S"],
+                              bind_law(law_id, space, bichar, **ops))
 
 
 def _scan(law_id, b, keys=None, alone=None, **ops):

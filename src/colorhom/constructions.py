@@ -10,7 +10,6 @@ pass guarantee.
 
 from __future__ import annotations
 
-from . import tables
 from .bundles import (
     AkivisBundle,
     DialgebraBundle,
@@ -22,7 +21,6 @@ from .bundles import (
     is_multiplicative,
 )
 from .checkers import (
-    bind_law,
     check_akivis_identity,
     check_color_leibniz,
     check_dialgebra,
@@ -30,6 +28,7 @@ from .checkers import (
     check_evenness,
     check_module,
     check_nhlp,
+    derive,
 )
 from .errors import ConstructionError, InputError
 from .linalg import EvenMap, GradedSpace, MultilinearMap, Vector, _scalar, commutator_map
@@ -76,7 +75,8 @@ def _twist(b, beta: EvenMap, n: int, check, what):
     _even_endo(beta, b, what)
     _require(check(b), f"{what} input")
     bn = beta.power(n)
-    ops = [tables.composed(bn.power(op.arity - 1), op) for op in b.ops()]
+    ops = [derive("twisted-binary" if op.arity == 2 else "twisted-ternary", {"S": b.space},
+                  M=op, tS=bn.power(op.arity - 1)) for op in b.ops()]
     out = type(b)(b.space, b.bichar, *ops, bn.compose(b.twist))
     if out == b:  # a fixed point: keep the input and the reports stored on it
         out = b
@@ -106,8 +106,7 @@ def nhlp_opposite(b: NHLPBundle) -> NHLPBundle:
     certified; for genuinely graded bundles the compatibility law of the
     opposite can fail, in which case this refuses with the report."""
     _require(check_nhlp(b), "nhlp_opposite input")
-    opposite = bind_law("opposite", {"S": b.space}, b.bichar, P=b.product)
-    out = NHLPBundle(b.space, b.bichar, tables.materialize(b.product.spaces, b.space, opposite),
+    out = NHLPBundle(b.space, b.bichar, derive("opposite", {"S": b.space}, b.bichar, P=b.product),
                      b.bracket, b.twist)
     _require(check_nhlp(out), "nhlp_opposite output")
     return out
@@ -120,8 +119,8 @@ def nhlp_scaled(b: NHLPBundle, k: Scalar) -> NHLPBundle:
         raise InputError("scaling by zero is not a structure transport")
     _require(check_nhlp(b), "nhlp_scaled input")
     scale = EvenMap.diagonal(b.space, [k] * b.space.dim)
-    out = NHLPBundle(b.space, b.bichar, tables.composed(scale, b.product),
-                     tables.composed(scale, b.bracket), b.twist)
+    out = NHLPBundle(b.space, b.bichar, *[derive("twisted-binary", {"S": b.space}, M=op, tS=scale)
+                                          for op in (b.product, b.bracket)], b.twist)
     _require(check_nhlp(out), "nhlp_scaled output")
     return out
 
@@ -160,8 +159,7 @@ def leibniz_from_dialgebra(b: DialgebraBundle) -> NHLPBundle:
     product; the pair is a (trivially graded) Leibniz-Poisson bundle."""
     _require(check_dialgebra(b), "leibniz_from_dialgebra input")
     space = b.space
-    bracket = tables.materialize((space, space), space, bind_law(
-        "dialgebra-bracket", {"S": space}, b.bichar, L=b.prod_left, R=b.prod_right))
+    bracket = derive("dialgebra-bracket", {"S": space}, b.bichar, L=b.prod_left, R=b.prod_right)
     out = NHLPBundle(space, b.bichar, b.prod_left, bracket, b.twist)
     _require(check_nhlp(out), "leibniz_from_dialgebra output")
     return out
@@ -177,9 +175,10 @@ def twist_module(mb: ModuleBundle, n: int = 1) -> ModuleBundle:
     alg = mb.algebra
     _even_endo(alg.twist, alg, "twist_module algebra twist must be multiplicative")
     _require(check_module(mb), "twist_module input")
-    t2n = alg.twist.power(2 * n)
-    out = ModuleBundle(alg, mb.module_space, tables.composed(t2n, mb.act_left, at=0),
-                       tables.composed(t2n, mb.act_right, at=1), mb.module_twist)
+    spaces, t2n = {"S": mb.module_space, "A": alg.space}, alg.twist.power(2 * n)
+    left = derive("twisted-action-left", spaces, M=mb.act_left, tA=t2n)
+    right = derive("twisted-action-right", spaces, M=mb.act_right, tA=t2n)
+    out = ModuleBundle(alg, mb.module_space, left, right, mb.module_twist)
     if out == mb:  # a fixed point: keep the input and the reports stored on it
         out = mb
     _require(check_module(out), "twist_module output")

@@ -334,10 +334,12 @@ class EvenMap(MultilinearMap):
         return object.__new__(cls)._set(space, rows, {(j,): v for j, v in enumerate(images) if v})
 
     def compose(self, other: "EvenMap") -> "EvenMap":
-        """self after other (matrix product self @ other): self evaluated
-        on each column of other."""
-        return EvenMap.from_images(
-            self.space, [self(other.on_basis(j)) for j in range(self.space.dim)])
+        """self after other (matrix product self @ other): the law
+        twisted-unary, self o other, derived on their compiled tables."""
+        from .checkers import derive  # checkers builds on this module
+
+        m = derive("twisted-unary", {"S": self.space}, M=other, tS=self)
+        return EvenMap.from_images(self.space, [m.on_basis(j) for j in range(self.space.dim)])
 
     def power(self, n: int) -> "EvenMap":
         """Exact n-th compositional power, n >= 0 (power 0 is the identity)."""
@@ -391,13 +393,12 @@ def commutator_map(product_map: MultilinearMap, bichar) -> MultilinearMap:
     """Sign-twisted commutator of a binary internal map:
     bracket(x, y) = product(x, y) - eps(x, y) * product(y, x)
     on homogeneous basis vectors, extended bilinearly."""
-    from . import checkers, tables  # both build on this module
+    from .checkers import derive  # checkers builds on this module
 
     space = product_map.codomain
     if product_map.spaces != (space, space):
         raise InputError("commutator needs a binary internal map")
-    return tables.materialize(product_map.spaces, space, checkers.bind_law(
-        "commutator", {"S": space}, bichar, P=product_map))
+    return derive("commutator", {"S": space}, bichar, P=product_map)
 
 
 def endomorphism_defects(f: EvenMap, ops):

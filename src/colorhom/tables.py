@@ -61,12 +61,10 @@ eps value has a zeta part, through the scalar kernel's ``product`` and
 ``times_zeta``: an integer convolution folded back by the rows of
 ``FieldDescriptor.reduction``, with no gcd.
 
-A derived map is a law too, kept as a MultilinearMap by ``materialize``.
-The commutator (whose zero test is eps-commutativity), the
-Hom-associator, the dialgebra bracket and the opposite product are
-entries of ``checkers.LAWS``.  ``composed``, generic in arity, builds
-the twists and the scaling a construction outputs, f o op or op with f
-applied to one argument, from one term.
+A derived map, such as the commutator (whose zero test is
+eps-commutativity) or a twist f o op that a construction outputs, is an
+entry of ``checkers.LAWS`` too, kept as a MultilinearMap by
+``materialize`` for ``checkers.derive``: this module holds no formula.
 """
 
 from __future__ import annotations
@@ -442,14 +440,3 @@ def materialize(spaces, codomain, defect) -> MultilinearMap:
         if v is not None:
             table[key] = v.vector()
     return MultilinearMap(spaces, codomain, table)
-
-
-def composed(f, m, at=None) -> MultilinearMap:
-    """The map f o m, f an EvenMap and m a MultilinearMap, or with at = p
-    the binary m with f applied to its argument p, built from one term."""
-    F, M = table(f), table(m)
-    if at is None:  # f(m(e_k0, .., e_kn))
-        t = term(1, F, (M, *range(m.arity)))
-    else:  # m(f e_k0, e_k1) or m(e_k0, f e_k1)
-        t = term(1, M, *[(F, p) if p == at else p for p in (0, 1)])
-    return materialize(m.spaces, m.codomain, law(m.codomain, t))

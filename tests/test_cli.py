@@ -147,6 +147,21 @@ def test_check_failed_precondition_is_reported_skipped(tmp_path, capsys, name, e
                                      "violations": []}
 
 
+def test_twist_refusal_names_the_failed_precondition(tmp_path, capsys):
+    """akivis-A with [e2,e1] = e2, as [e1,e2] is: the bracket is not
+    eps-skew, so the input's Akivis identity is not scanned, and the
+    refusal says so in its report."""
+    doc = fixture_document("akivis-A")
+    for entry in doc["ops"]["bracket"]:
+        if entry["args"] == [1, 0]:
+            entry["out"] = {"1": "1"}
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "twist", str(p), "-", "--power", "1")
+    assert code == 1 and out == ""
+    assert "hom-akivis: SKIPPED (precondition skew-symmetry failed)" in err.splitlines()
+
+
 def test_check_identity_filter_exact(capsys):
     code, out, _ = run(
         capsys, "check", "fixtures/leibniz-L2", "--identity", "skew-symmetry"

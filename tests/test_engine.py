@@ -17,8 +17,9 @@ denominators) or, over Q(i) and Q(zeta_12), 1+zeta and its inverse (so
 eps has a zeta part and is no root of unity, and a two-factor eps
 multiplies two such values); twist maps with fractional entries, the
 identity, rational diagonal twists and diagonal twists with a zeta part
-(``TWIST_SHAPES``); tables
-and twists with rational values over Q(i) and Q(zeta_12); modules whose
+(``TWIST_SHAPES``), the first off the diagonal on graded spaces of
+dimension ``WIDE``, where a degree repeats; tables and twists with
+rational values over Q(i) and Q(zeta_12); modules whose
 dimension differs from the algebra's; and both passing bundles and
 bundles with one planted +1 in a structure constant.
 """
@@ -78,6 +79,10 @@ GRADINGS = {
 # value of the bicharacter meets nonzero entries; the trivial grading has
 # one sign and dense tables, so 3 is enough there
 DIM = {"trivial": 3, "z2xz2": 4, "z4xz4": 4, "free2": 4, "free2-zeta": 4}
+
+# one above the graded pools: a degree repeats, so an even twist of a graded
+# algebra can be off the diagonal, as it cannot at DIM
+WIDE = 6
 
 CASES = [
     (1, "trivial"), (1, "z2xz2"), (1, "free2"),
@@ -350,6 +355,24 @@ def rational_diagonal(f):
                for i, row in enumerate(f.rows) for j, c in enumerate(row))
 
 
+def off_diagonal_in_general_loop(bundles):
+    """Did some algebra bundle (no module) whose twist is off the diagonal
+    have an operation imaged with that twist in ``Table.images``' general
+    loop (which keeps the unflattened entries as ``coords``)?"""
+    for _, b in bundles:
+        if isinstance(b, ModuleBundle) or not any(
+                not c.is_zero() for i, row in enumerate(b.twist.rows)
+                for j, c in enumerate(row) if i != j):
+            continue
+        twist = tables.table(b.twist)
+        for op in b.ops():
+            memo = tables.table(op)._memo
+            if "coords" in memo and any(
+                    key[0] == "images" and hit[0] is twist for key, hit in memo.items()):
+                return True
+    return False
+
+
 def image_paths(bundles, rotated):
     """The paths the image rows of the bundles' operations took: True for
     the rotated entries of a rational diagonal twist (``rotated`` maps
@@ -392,7 +415,8 @@ def test_engine_matches_vector_expressions(monkeypatch, scans, N, grading, ratio
         law for law in ALL_LAWS if not law.startswith("dialgebra")}
     for shape in TWIST_SHAPES if N > 1 else TWIST_SHAPES[:3]:
         seen, violations = set(), 0
-        for dim in (0, 1, DIM[grading]):
+        wide = [WIDE] if grading != "trivial" and shape == "general" else []
+        for dim in (0, 1, DIM[grading], *wide):
             bundles = random_bundles(rng, N, grading, dim, rational, shape)
             for kind, b in bundles:
                 reports = scans(b)
@@ -401,12 +425,17 @@ def test_engine_matches_vector_expressions(monkeypatch, scans, N, grading, ratio
                 seen |= {report.identity_id for report in reports}
                 violations += sum(len(report.violations) for report in reports)
             paths = image_paths(bundles, rotated)
+            # at the full dimension each shape reaches its own path (the
+            # identity twists of the passing dialgebras take the rotated
+            # rows under any)
+            if dim == DIM[grading] and shape != "general":
+                assert (shape != "zeta-diagonal") in paths, shape
+            # above it, a graded algebra's general twist leaves the diagonal
+            # and is compared through the general loop
+            if dim == WIDE:
+                assert off_diagonal_in_general_loop(bundles)
         assert set(seen) == expected, shape
         assert violations, shape
-        # at the full dimension each shape reaches its own path (the identity
-        # twists of the passing dialgebras take the rotated rows under any)
-        if shape != "general":
-            assert (shape != "zeta-diagonal") in paths, shape
 
 
 def test_every_law_fails_somewhere(scans):

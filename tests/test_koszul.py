@@ -13,10 +13,14 @@ rho(z, x) / eps(z, x).  The check is exact, tuple by tuple, on
 tests/test_engine.py's random bundles, modules over a nonzero bracket
 among them; preconditions are replaced by passing reports, so that every
 law is evaluated on every bundle.  The derived maps that ``commutator_map``
-and ``associator_map`` materialize are compared entry by entry the same
-way.
+and ``associator_map`` materialize, and each operation under the twisting
+maps of the constructions, are compared entry by entry the same way: a
+twist map is even and stays as it is, so t o op, or op with t applied to
+its algebra argument, scales as op does, by the sigma of the operation's
+argument degrees.
 """
 
+import itertools
 import random
 
 import pytest
@@ -36,8 +40,12 @@ from test_engine import ALL_LAWS, CASES, DIM, checks_for, random_bundles
 NOT_KOSZUL = {"flexible-literal", "flexible-polarized", "flexible-akivis-relation",
               "module-bracket-right", "module-mixed"}
 
+# the twisting maps of checkers.LAWS, which the constructions derive
+TWISTING = {"twisted-unary", "twisted-binary", "twisted-ternary",
+            "twisted-action-left", "twisted-action-right"}
+
 # the derived maps of checkers.LAWS, which no checker scans
-DERIVED = {"commutator", "hom-associator", "dialgebra-bracket", "opposite"}
+DERIVED = {"commutator", "hom-associator", "dialgebra-bracket", "opposite", *TWISTING}
 
 # the prefactor (p, q), eps(k[p], k[q]), of every term of a cyclic sum
 PREFACTOR = {"hom-jacobi": (2, 0), "hom-akivis": (2, 0)}
@@ -88,6 +96,27 @@ def vector(defect):
     return None if defect is None else defect.vector()
 
 
+def derived_maps(b):
+    """(law id, map) for each derived map of b's operations: the
+    commutator and Hom-associator of a binary algebra operation, and
+    every operation twisted by the (algebra's) twist map t, t o op or an
+    action with t applied to its algebra argument; t o t stands for the
+    unary case."""
+    if isinstance(b, ModuleBundle):
+        spaces, t = {"S": b.module_space, "A": b.algebra.space}, b.algebra.twist
+        return [(law_id, checkers.derive(law_id, spaces, M=op, tA=t)) for law_id, op in (
+            ("twisted-action-left", b.act_left), ("twisted-action-right", b.act_right))]
+    space, t = {"S": b.space}, b.twist
+    out = [("twisted-unary", checkers.derive("twisted-unary", space, M=t, tS=t))]
+    for op in b.ops():
+        law_id = "twisted-binary" if op.arity == 2 else "twisted-ternary"
+        out.append((law_id, checkers.derive(law_id, space, M=op, tS=t)))
+        if op.arity == 2:
+            out += [("commutator", commutator_map(op, b.bichar)),
+                    ("hom-associator", associator_map(op, t))]
+    return out
+
+
 @pytest.mark.parametrize("N,grading", [pytest.param(N, g, id=f"{N}-{g}") for N, g in CASES])
 def test_every_koszul_law_is_covariant(laws, N, grading):
     rng = random.Random(f"cocycle-{N}-{grading}")
@@ -114,23 +143,16 @@ def test_every_koszul_law_is_covariant(laws, N, grading):
                     want = vector(defect(key))
                     want = None if want is None else want.scaled(factor)
                     assert vector(twisted_defect(key)) == want, (kind, identity_id, key)
-            # the derived maps of each binary operation, entry by entry
-            for op, twisted_op in zip(b.ops(), twisted.ops()):
-                if isinstance(b, ModuleBundle) or op.arity != 2:
-                    continue
-                for law_id, mine, theirs in (
-                        ("commutator", commutator_map(op, eps),
-                         commutator_map(twisted_op, twisted.bichar)),
-                        ("hom-associator", associator_map(op, b.twist),
-                         associator_map(twisted_op, twisted.twist))):
-                    checked.add(law_id)
-                    for key in b.space.tuples(mine.arity):
-                        factor = sigma(*(b.space.degree(k) for k in key))
-                        want = mine.on_basis(*key).scaled(factor)
-                        assert theirs.on_basis(*key) == want, (kind, law_id, key)
+            # the derived maps, entry by entry
+            for (law_id, mine), (_, theirs) in zip(derived_maps(b), derived_maps(twisted)):
+                checked.add(law_id)
+                for key in itertools.product(*(range(sp.dim) for sp in mine.spaces)):
+                    factor = sigma(*(sp.degree(k) for sp, k in zip(mine.spaces, key)))
+                    want = mine.on_basis(*key).scaled(factor)
+                    assert theirs.on_basis(*key) == want, (kind, law_id, key)
     assert checked == {law for law in ALL_LAWS - NOT_KOSZUL
                        if grading == "trivial" or not law.startswith("dialgebra")} | {
-                           "commutator", "hom-associator"}
+                           "commutator", "hom-associator", *TWISTING}
 
 
 def test_laws_table_is_what_the_covariance_test_covers():
@@ -138,9 +160,9 @@ def test_laws_table_is_what_the_covariance_test_covers():
     the module key spaces used above (its S is the module); exactly the
     laws left out above and the opposite product, whose Koszul form would
     be eps(x,y) P(y,x), list their own eps factors, and the cyclic sums
-    carry the prefactor checked above.  The commutator and the
-    Hom-associator are checked above as maps; the dialgebra bracket lives
-    on ungraded spaces, where every eps is 1."""
+    carry the prefactor checked above.  The commutator, the
+    Hom-associator and the twisting maps are checked above as maps; the
+    dialgebra bracket lives on ungraded spaces, where every eps is 1."""
     assert set(checkers.LAWS) == ALL_LAWS | DERIVED
     assert {law_id: checkers.LAWS[law_id][0] for law_id in MODULE_KEYS} == {
         law_id: spaces.replace("M", "S") for law_id, spaces in MODULE_KEYS.items()}

@@ -189,6 +189,23 @@ def test_power_and_identity():
         m.power(1.5)
 
 
+def test_compose_evaluates_no_vector(monkeypatch):
+    """f.compose(g), and so f.power(n), derives the law twisted-unary on
+    the compiled tables: no MultilinearMap is evaluated on vectors."""
+    rng = random.Random(21)
+    space, _ = random_setup(rng, max_dim=5)
+    f, g = random_even_map(rng, space), random_even_map(rng, space)
+    calls, call = [], MultilinearMap.__call__
+    monkeypatch.setattr(MultilinearMap, "__call__",
+                        lambda m, *vectors: calls.append(m) or call(m, *vectors))
+    fg, f3 = f.compose(g), f.power(3)
+    assert calls == []
+    monkeypatch.undo()
+    for j in range(space.dim):
+        assert fg.on_basis(j) == f(g.on_basis(j))
+        assert f3.on_basis(j) == f(f(f.on_basis(j)))
+
+
 def test_from_images_round_trip():
     sp = trivial_space(3)
     images = [
