@@ -21,9 +21,10 @@ the scalar kernels are off the scan path; a nonzero defect stays
 integers (``tables.Defect``) until it is read.
 
 Every scan runs in one thread: worker threads were measured 20-40%
-slower under the interpreter lock.  A checker that takes a bundle
-stores its report on that bundle, so each law is scanned at most once
-per bundle object however many callers ask for it.
+slower under the interpreter lock.  Every law check takes a bundle and
+stores its report on it, so each law is scanned at most once per bundle
+object however many callers ask for it, and the classifier reads a
+product's Hom-associator off the stored hom-associativity scan.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from .bundles import (
     NHLPBundle,
     NonAssocBundle,
     _once_per_bundle,
-    associator_map,
     is_sign_commutative,
 )
 from .errors import InputError
@@ -287,17 +287,25 @@ def check_hom_lie(b) -> CheckReport:
 
 
 def _ternary_of(b) -> MultilinearMap:
+    """An Akivis bundle's ternary map, or a product's Hom-associator
+    T(x,y,z) = (xy) t(z) - t(x) (yz): each violation of the stored
+    hom-associativity report holds -T at its key, as the scan's integers."""
     if isinstance(b, AkivisBundle):
         return b.ternary
     if isinstance(b, (NonAssocBundle, NHLPBundle)):
-        return associator_map(b.product, b.twist)
+        S = b.space
+        return MultilinearMap((S, S, S), S, {
+            v.args: tables.Defect(S, tuple([(k, tuple([-n for n in nums]))
+                                            for k, nums in v.raw.coords]), v.raw.den).vector()
+            for v in check_hom_associativity(b).violations})
     raise InputError(f"no ternary structure on bundle kind {b.kind!r}")
 
 
 @_once_per_bundle
 def check_flexible_alternative(b) -> CheckReport:
     """Classify the ternary structure (the Hom-associator for algebra
-    input, the ternary table for Akivis input).
+    input, read off ``check_hom_associativity``'s stored report by
+    ``_ternary_of``; the ternary table for Akivis input).
 
     flexible, literal: T(x, y, x) == 0 on basis tuples, plus the ungraded
     polarization T(x,y,z) + T(z,y,x) == 0 within equal degrees.
@@ -352,12 +360,14 @@ def check_flexible_akivis_relation(b: AkivisBundle) -> CheckReport:
     return _scan("flexible-akivis-relation", b, B=b.bracket, T=b.ternary)
 
 
-def check_hom_associativity(product: MultilinearMap, twist: EvenMap) -> CheckReport:
-    """product(t(x), product(y,z)) == product(product(x,y), t(z)); the
-    defect is the Hom-associator with its sign flipped."""
-    space = product.codomain
-    return scan_identity("hom-associativity", space.tuples(3),
-                         bind_law("hom-associativity", {"S": space}, None, P=product, tS=twist))
+@_once_per_bundle
+def check_hom_associativity(b) -> CheckReport:
+    """product(t(x), product(y,z)) == product(product(x,y), t(z)) on every
+    basis triple of a bundle with a product (nonassociative or nhlp).  The
+    defect is the Hom-associator with its sign flipped, so the stored
+    report's violations are the classifier's Hom-associator too
+    (``_ternary_of``): it is evaluated once per bundle."""
+    return _scan("hom-associativity", b, P=b.product)
 
 
 @_once_per_bundle
@@ -400,7 +410,7 @@ def check_nhlp(b: NHLPBundle) -> CheckReport:
 
     Flags record whether the product is eps-commutative."""
     leibniz = check_color_leibniz(b)
-    assoc = check_hom_associativity(b.product, b.twist)
+    assoc = check_hom_associativity(b)
     compat = _scan("leibniz-compatibility", b, B=b.bracket, P=b.product)
     flags = {"commutative": is_sign_commutative(b.product, b.bichar)}
     return CheckReport("nhlp", subreports=(leibniz, assoc, compat), flags=flags)

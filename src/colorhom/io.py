@@ -507,7 +507,7 @@ def full_check(bundle, jobs=1):
         flags = {"multiplicative": is_multiplicative(bundle)}
     if kind == "nonassociative":
         classify = check_flexible_alternative(bundle)
-        assoc = check_hom_associativity(bundle.product, bundle.twist)
+        assoc = check_hom_associativity(bundle)
         results += [(classify, True), (assoc, True)]
         flags.update(
             hom_associative=assoc.passed,

@@ -334,8 +334,14 @@ class EvenMap(MultilinearMap):
         return object.__new__(cls)._set(space, rows, {(j,): v for j, v in enumerate(images) if v})
 
     def compose(self, other: "EvenMap") -> "EvenMap":
-        """self after other (matrix product self @ other): the law
-        twisted-unary, self o other, derived on their compiled tables."""
+        """self after other (matrix product self @ other): the other
+        factor itself when one factor is the identity (read off its rows),
+        else the law twisted-unary, self o other, derived on their
+        compiled tables."""
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
         from .checkers import derive  # checkers builds on this module
 
         m = derive("twisted-unary", {"S": self.space}, M=other, tS=self)

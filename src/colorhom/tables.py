@@ -301,7 +301,9 @@ def term(sign, outer, *args, eps=()):
     (e_k[p]), (twist, p) (twist e_k[p]) or (inner, p, q)
     (inner(e_k[p], e_k[q])), twist a unary and inner a binary Table; a
     binary outer with a twisted argument takes one other argument, and
-    an outer of any other arity takes key positions only.  ``eps`` lists
+    an outer of any other arity takes key positions only, one per
+    argument.  Any other shape, such as an outer of arity 3 with twisted
+    arguments, raises ValueError here, before a key is read.  ``eps`` lists
     factors (signs, p, q) = eps(deg k[p], deg k[q]) with signs from
     ``signs``; ``law`` multiplies them in at each key, so the term keeps
     its source table as it is.  The source contracted with the rows of
@@ -316,10 +318,15 @@ def term(sign, outer, *args, eps=()):
     if len(outer.dims) == 1:
         (source,) = args
     else:
-        for i, arg in enumerate(args):
-            if isinstance(arg, tuple) and len(arg) == 2:
-                (tw, at), source = arg, args[1 - i]
-                break
+        twisted = [i for i, arg in enumerate(args) if isinstance(arg, tuple) and len(arg) == 2]
+        if not (len(args) == len(outer.dims) and (
+                len(args) == 2 if twisted else all(type(arg) is int for arg in args))):
+            shape = [a if type(a) is int else ("twist", "inner")[len(a) == 3] for a in args]
+            raise ValueError(f"term cannot contract an outer of arity {len(outer.dims)} "
+                             f"with arguments {shape}")
+        if twisted:
+            i = twisted[0]
+            (tw, at), source = args[i], args[1 - i]
         else:  # one table entry, itself the value
             source = (outer, *args)
     if isinstance(source, int):  # the basis vector e_k[p] of outer's argument 1 - i

@@ -243,7 +243,7 @@ def test_criterion_03_flexible_alternative_transfer():
         if flags["alternative"]:
             assert ak_flags["alternative"], "alternativity must transfer"
             alternative_cases += 1
-        if not check_hom_associativity(b.product, b.twist).passed:
+        if not check_hom_associativity(b).passed:
             nonassoc_cases += 1
     ok = flexible_cases >= 40 and alternative_cases >= 5 and nonassoc_cases >= 1
     record(

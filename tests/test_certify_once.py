@@ -80,6 +80,22 @@ def test_full_check_scans_skew_symmetry_once(scan_ledger):
     assert repeats(scan_ledger) == {}
 
 
+@pytest.mark.parametrize("name", ["nonassoc-NA2", "nhlp-trivext-L2"])
+def test_hom_associativity_is_scanned_once(scan_ledger, name):
+    """full_check scans a product's hom-associativity once, and the
+    classifier reads its Hom-associator off that stored report: asking
+    either again scans nothing."""
+    b = fresh_bundle(name)
+    io.full_check(b)
+    assert Counter(identity for _, identity in scan_ledger)["hom-associativity"] == 1
+    check_flexible_alternative(b)
+    before = len(scan_ledger)
+    checkers.check_hom_associativity(b)
+    check_flexible_alternative(b)
+    assert len(scan_ledger) == before
+    assert Counter(identity for _, identity in scan_ledger)["hom-associativity"] == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -116,7 +116,7 @@ def test_super_line_fixture_passes_both():
 
 
 def test_NA2_hom_associativity_exact(NA2):
-    rep = check_hom_associativity(NA2.product, NA2.twist)
+    rep = check_hom_associativity(NA2)
     assert frozen(rep) == [
         ((0, 1, 0), {0: "1"}),
         ((0, 1, 1), {0: "-1"}),
@@ -360,7 +360,7 @@ def test_NA2_defect_is_negated_associator(NA2):
     F, O = G.bundle_oracle(NA2.space, NA2.bichar)
     table = G.oracle_table(F, NA2.product)
     rows = G.oracle_rows(F, NA2.twist, NA2.space.dim)
-    rep = check_hom_associativity(NA2.product, NA2.twist)
+    rep = check_hom_associativity(NA2)
     viol = {v.args: v.defect for v in rep.violations}
     for t in itertools.product(range(NA2.space.dim), repeat=3):
         d = O.associator(table, rows, *t)

@@ -44,6 +44,7 @@ from colorhom.bundles import (
     associator_map,
     is_sign_commutative,
 )
+from colorhom.fixtures import fixture
 from colorhom.grading import Bicharacter, GradingGroup, TRIVIAL_GROUP
 from colorhom.linalg import EvenMap, GradedSpace, MultilinearMap, Vector, commutator_map
 from colorhom.report import CheckReport, Violation
@@ -295,7 +296,7 @@ def checks_for(b, originals):
         out += [checkers.check_akivis_identity, classify,
                 checkers.check_flexible_akivis_relation]
     if isinstance(b, NonAssocBundle):
-        out += [classify, lambda b: checkers.check_hom_associativity(b.product, b.twist)]
+        out += [classify, checkers.check_hom_associativity]
     if isinstance(b, NHLPBundle):
         out += [checkers.check_nhlp, classify]
     if isinstance(b, DialgebraBundle):
@@ -507,6 +508,36 @@ def test_defect_text_reduces_each_coefficient(N, coords, text):
 
 
 # ---------------------------------------------------------------------------
+# the shapes a term contracts
+
+
+def test_every_law_binds():
+    """Every LAWS entry binds on nonassoc-NA2's space, each name bound to a
+    nonzero map of its arity, and its defect evaluates at every key."""
+    b = fixture("nonassoc-NA2").bundle
+    S, P, t = b.space, b.product, b.twist
+    by_arity = {1: t, 2: P, 3: associator_map(P, t)}
+    assert all(m.table for m in by_arity.values())
+    for law_id, (spaces, _, _) in checkers.LAWS.items():
+        defect = checkers.bind_law(law_id, {"S": S, "A": S}, b.bichar, B=P, P=P, L=P, R=P,
+                                   T=by_arity[3], M=by_arity[len(spaces)], tS=t, tA=t)
+        for key in S.tuples(len(spaces)):
+            defect(key)
+
+
+def test_term_refuses_shapes_it_cannot_contract():
+    """A twisted argument needs a binary outer, and a lookup key positions
+    only: a term of any other shape is refused when it is built, by name."""
+    b = fixture("nonassoc-NA2").bundle
+    P, t = tables.table(b.product), tables.table(b.twist)
+    T = tables.table(associator_map(b.product, b.twist))
+    with pytest.raises(ValueError, match=r"arity 3 with arguments \['twist', 'twist', 'twist'\]"):
+        tables.term(1, T, (t, 0), (t, 1), (t, 2))
+    with pytest.raises(ValueError, match=r"arity 2 with arguments \['inner', 'inner'\]"):
+        tables.term(1, P, (P, 0, 1), (P, 1, 2))
+
+
+# ---------------------------------------------------------------------------
 # derived maps vs their Vector builds
 
 
@@ -599,8 +630,11 @@ def test_engine_matches_oracles(N, grading):
             failing += agree(F, associator_map(b.product, b.twist).table,
                              lambda *k: O.associator(tp, rows, *k), b.space)
             failing += agree(
-                F, found(checkers.check_hom_associativity(b.product, b.twist)),
+                F, found(checkers.check_hom_associativity(b)),
                 lambda *k: O.associator(tp, rows, *k), b.space, sign=-1)
+            # the classifier's, read off that report
+            failing += agree(F, checkers._ternary_of(b).table,
+                             lambda *k: O.associator(tp, rows, *k), b.space)
         if kind == "nhlp":
             F, O, rows = oracle_setup(b)
             tb, tp = G.oracle_table(F, b.bracket), G.oracle_table(F, b.product)

@@ -206,6 +206,25 @@ def test_compose_evaluates_no_vector(monkeypatch):
         assert f3.on_basis(j) == f(f(f.on_basis(j)))
 
 
+def test_compose_with_the_identity_derives_nothing(monkeypatch):
+    """An identity factor is read off its rows: compose returns the other
+    factor on either side, and power squares an identity base, with no
+    map derived."""
+    rng = random.Random(21)
+    space, _ = random_setup(rng, max_dim=5)
+    f, one = random_even_map(rng, space), EvenMap.identity(space)
+    assert not f.is_identity()
+    calls, materialize = [], tables.materialize
+    monkeypatch.setattr(tables, "materialize", lambda *a: calls.append(a) or materialize(*a))
+    left, right, power = one.compose(f), f.compose(one), one.power(5)
+    assert calls == []
+    monkeypatch.undo()
+    for j in range(space.dim):
+        assert left.on_basis(j) == one(f.on_basis(j))
+        assert right.on_basis(j) == f(one.on_basis(j))
+    assert power == one
+
+
 def test_from_images_round_trip():
     sp = trivial_space(3)
     images = [

@@ -1,7 +1,7 @@
 """The benchmark's tracing still finds every name it wraps, every law
 check full_check runs goes through a wrapped name, and the fine layers it
-samples still see work, and that full_check builds no derived map to feed
-a Leibniz law.
+samples still see work, and that full_check builds no derived map for
+any kind.
 
 perfbench/tracing.py patches colorhom functions by name (``Spans``) and
 counts and samples calls on the kernel, Scalar, Vector, MultilinearMap
@@ -72,16 +72,24 @@ def test_every_law_check_full_check_reaches_is_spanned():
     assert checks - {"checkers.check_endomorphism"} <= names
 
 
-def test_full_check_of_leibniz_documents_materializes_no_map(monkeypatch):
-    """The Leibniz consequences are laws in the bracket alone: full_check
-    on a Leibniz bundle whose law passes builds no derived map."""
-    docs = [fixture_document("leibniz-L2"), fixture_document("leibniz-S1")]
-    docs += [doc for _, doc, _ in gen.certify_dense(0) if doc["kind"] == "leibniz"]
+def test_full_check_materializes_no_map(monkeypatch):
+    """full_check builds no derived map for any kind: the classifier reads
+    a product's Hom-associator off the stored hom-associativity report,
+    and the Leibniz consequences are laws in the bracket alone."""
+    docs = [fixture_document(name) for name in (*ONE_PER_KIND, "leibniz-S1")]
+    docs += [doc for _, doc, _ in gen.certify_dense(0)]
     bundles = [io.parse_document(doc).bundle for doc in docs]
+    assert {b.kind for b in bundles} == set(io.KINDS)
     calls = []
     materialize = tables.materialize
     monkeypatch.setattr(tables, "materialize", lambda *a: calls.append(a) or materialize(*a))
+    hom_associators = 0
     for bundle in bundles:
         results, _ = io.full_check(bundle)
-        assert any(r.find("leibniz-derived-bracket") is not None for r, _ in results)
-    assert len(bundles) > 2 and calls == []
+        if bundle.kind == "leibniz":
+            assert any(r.find("leibniz-derived-bracket") is not None for r, _ in results)
+        if bundle.kind == "nonassociative":
+            (assoc,) = [r for r, _ in results if r.identity_id == "hom-associativity"]
+            hom_associators += len(assoc.violations)
+    # nonassoc-NA2 fails hom-associativity, so some classifier read a nonzero T
+    assert hom_associators and calls == []
