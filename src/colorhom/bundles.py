@@ -15,6 +15,7 @@ import functools
 from .errors import InputError
 from .linalg import EvenMap, MultilinearMap, check_evenness, is_endomorphism
 from .record import Record
+from .tables import table
 
 
 def _require_even(name, m):
@@ -172,9 +173,37 @@ def associator_map(product: MultilinearMap, twist: EvenMap) -> MultilinearMap:
 @_once_per_bundle
 def is_multiplicative(bundle) -> bool:
     """Does the bundle's twist map commute with all its structure maps?
-    Tested once per bundle; the identity commutes with every map, so an
-    identity twist, read off its rows, is not scanned."""
-    return bundle.twist.is_identity() or is_endomorphism(bundle.twist, bundle.ops())
+    Tested once per bundle.  A twist whose compiled table is diagonal with
+    rational entries, alpha(e_x) = (s_x / den) e_x (``Table.scales``),
+    the identity among them, is decided on each operation's compiled
+    table with no scan: alpha(O(e_i1, .., e_ir)) = O(alpha e_i1, ..,
+    alpha e_ir) holds iff s_k * den**(r-1) == s_i1 * .. * s_ir at every
+    coordinate k that O(e_i1, .., e_ir) fills.  Any other twist, one
+    with a zeta part or an off-diagonal entry, takes the ``Vector`` test
+    ``is_endomorphism``."""
+    twist = table(bundle.twist)
+    scales = twist.scales()
+    if scales is None:
+        return is_endomorphism(bundle.twist, bundle.ops())
+    d = twist.field.degree
+    for op in bundle.ops():
+        compiled = table(op)
+        r = len(compiled.dims)
+        wants = [s * twist.den ** (r - 1) for s in scales]
+        if not _scaled_alike(compiled.entries, r, scales, wants, d, 1):
+            return False
+    return True
+
+
+def _scaled_alike(entries, depth, scales, wants, d, have):
+    """Does every coordinate k that the ``depth``-deep nested ``entries``
+    of a compiled table fill at basis tuple key have wants[k] == have
+    times the product of scales over key?  Stops at the first that does
+    not."""
+    if not depth:  # a leaf: the flattened value, as (position, numerator) pairs
+        return all(wants[p // d] == have for p, _ in entries)
+    return all(_scaled_alike(e, depth - 1, scales, wants, d, have * s)
+               for e, s in zip(entries, scales))
 
 
 def is_sign_commutative(product: MultilinearMap, bichar) -> bool:

@@ -22,7 +22,9 @@ Q-multilinear, so every law becomes a sum of integer products:
   (I[y][z]) can fill: 0 for a basis vector, its table's own under
   rational eps, else all d; the others are never read and stay ().
   Under a diagonal twist s_x e_x with rational s_x, such as the identity,
-  row x is s_x times the operation's own entries, each rotated once;
+  row x is s_x times the operation's own entries, each rotated once
+  (``Table.scales`` reads the s_x, for these rows and for the closed-form
+  multiplicativity test of ``bundles.is_multiplicative``);
 * ``Signs``: the values eps(deg i, deg j) over their own denominator, in
   the form ``law`` reads them: the numerator n of a rational value, the
   numerator tuple of one with a zeta part; built once per bicharacter
@@ -134,7 +136,7 @@ class Table(Record):
     argument, each leaf the flattened value of that basis tuple over
     ``den``, and ``phases`` lists the zeta-phases t of the positions
     k*d + t those leaves fill, sorted.  ``_memo`` caches the contraction
-    rows derived from it."""
+    rows derived from it, and its ``scales``."""
 
     FIELDS = ("field", "dims", "den", "entries", "phases")
     __slots__ = FIELDS + ("_memo",)
@@ -153,8 +155,9 @@ class Table(Record):
         only where its source is nonzero, and ``term`` passes every phase
         that source fills.  A twist whose table is diagonal with rational
         entries, twist e_x = s_x e_x over twist.den, takes row x of
-        ``_rotated`` times s_x, with no field product (row x is empty
-        when s_x is 0); any other twist sums its products per column."""
+        ``_rotated`` times s_x (``scales``), with no field product (row x
+        is empty when s_x is 0); any other twist sums its products per
+        column."""
         key = ("images", arg, id(twist))
         hit = self._memo.get(key)
         if hit is not None and hit[1].issuperset(phases):
@@ -163,9 +166,8 @@ class Table(Record):
         field = self.field
         d, red = field.degree, field.reduction
         other = self.dims[1 - arg]
-        scales = [(e[0][1] if len(e) == 1 and e[0][0] == x * d else None) if e else 0
-                  for x, e in enumerate(twist.entries)]
-        if None not in scales:  # row x is s_x times row x of the untwisted images
+        scales = twist.scales()
+        if scales is not None:  # row x is s_x times row x of the untwisted images
             grid, empty = self._rotated(arg, phases, {*scales} <= {0, 1}), ((),) * (other * d)
             rows = [grid[x] if s == 1 else empty if s == 0 else
                     tuple([tuple([(p, s * n) for p, n in c]) for c in grid[x]])
@@ -192,6 +194,20 @@ class Table(Record):
         out = (self.den * twist.den, tuple(rows))
         self._memo[key] = (twist, frozenset(phases), out)
         return out
+
+    def scales(self):
+        """(s_0, .., s_n-1) when this unary table, such as a compiled
+        twist, is diagonal with rational entries, T e_x = s_x e_x over
+        ``den``: entry x is empty (s_x = 0) or the single numerator s_x
+        at position x*d, phase 0.  None for any other table: an entry
+        with a zeta part or off the diagonal.  Read once and kept."""
+        memo = self._memo
+        if "scales" not in memo:
+            d = self.field.degree
+            s = tuple([(e[0][1] if len(e) == 1 and e[0][0] == x * d else None) if e else 0
+                       for x, e in enumerate(self.entries)])
+            memo["scales"] = None if None in s else s
+        return memo["scales"]
 
     def _rotated(self, arg, phases, keep=True):
         """The rows of ``images`` under the identity twist, per argument

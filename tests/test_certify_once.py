@@ -211,7 +211,7 @@ def test_parse_checks_each_map_for_evenness_once(monkeypatch):
         pytest.param(["twist", "fixtures/module-M", "-", "--module", "--power", "3"], 0,
                      id="argv0"),
         pytest.param(["twist", "fixtures/leibniz-L2", "-", "--power", "2"], 0, id="argv1"),
-        pytest.param(["twist", "fixtures/akivis-A", "-", "--map", "beta", "--power", "2"], 2,
+        pytest.param(["twist", "fixtures/akivis-A", "-", "--map", "beta", "--power", "2"], 1,
                      id="argv2"),
     ],
 )
@@ -219,9 +219,10 @@ def test_cli_tests_the_twist_for_multiplicativity_once(monkeypatch, argv, scans)
     """The twist constructions and the embedded report ask one stored
     multiplicativity test of the bundle.  An identity twist (module-M's
     and leibniz-L2's alpha, and so their outputs') is multiplicative
-    without a scan; beta = diag(1, 3) on akivis-A is scanned once to
-    refuse or accept it, and the output's twist beta^2 once for its
-    report."""
+    without a scan; beta = diag(1, 3) on akivis-A, an extra map, is
+    scanned once to refuse or accept it, and the output's twist
+    beta^2 = diag(1, 9), rational diagonal, is decided on the operations'
+    tables for its report, with no scan."""
     tested = []
     endomorphism_defects = linalg.endomorphism_defects
 
@@ -236,9 +237,10 @@ def test_cli_tests_the_twist_for_multiplicativity_once(monkeypatch, argv, scans)
 
 
 def test_identity_twist_is_multiplicative_without_a_scan(monkeypatch):
-    """is_multiplicative reads an identity twist off its rows and scans
-    nothing; any other twist, a multiple of the identity included, is
-    still scanned and gets the right answer."""
+    """is_multiplicative decides a twist that is diagonal with rational
+    entries, the identity and a multiple of it included, on the
+    operations' compiled tables and scans nothing, with the right
+    answer."""
     tested = []
     endomorphism_defects = linalg.endomorphism_defects
 
@@ -252,8 +254,8 @@ def test_identity_twist_is_multiplicative_without_a_scan(monkeypatch):
     assert base.twist.is_identity()
     for twist, multiplicative, scans in [
             (base.twist, True, 0),
-            (EvenMap.diagonal(space, [1, 3]), True, 1),
-            (EvenMap.diagonal(space, [2, 2]), False, 1)]:  # 2 [x,y] != [2x, 2y]
+            (EvenMap.diagonal(space, [1, 3]), True, 0),
+            (EvenMap.diagonal(space, [2, 2]), False, 0)]:  # 2 [x,y] != [2x, 2y]
         tested.clear()
         bundle = replace(base, twist=twist)
         assert bundles.is_multiplicative(bundle) is multiplicative

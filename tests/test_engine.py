@@ -9,6 +9,9 @@
 * tests/oracles.py: the naive Fraction-polynomial evaluators of the
   Leibniz law, the associator, the Akivis identity and the
   compatibility law, compared on every basis tuple.
+* linalg.is_endomorphism, the Vector multiplicativity test, for the
+  closed form that bundles.is_multiplicative applies to rational
+  diagonal twists.
 
 Random bundles cover the fields Q (N=1), Q(i) (N=4) and Q(zeta_12)
 (N=12); trivial, Z2xZ2 (signs +-1), Z4xZ4 (signs +-i) and free rank-2
@@ -33,7 +36,7 @@ import pytest
 
 import genutil as G
 import vector_laws
-from colorhom import checkers, constructions, io, tables
+from colorhom import bundles, checkers, constructions, io, linalg, tables
 from colorhom.bundles import (
     AkivisBundle,
     DialgebraBundle,
@@ -587,6 +590,113 @@ def test_derived_maps_match_vector_builds(monkeypatch, N, grading):
             Vector.basis(M, n), t2n.on_basis(x)))
         assert left.table and out.act_left == left
         assert right.table and out.act_right == right
+
+
+# ---------------------------------------------------------------------------
+# the closed-form multiplicativity test vs the Vector one
+
+
+def weighted(m, weights):
+    """m keeping, at each basis tuple, the coordinates whose weight is the
+    sum of the tuple's weights: diag(t**w) commutes with it for every t,
+    0 included (0**0 is 1)."""
+    table = {}
+    for key, v in m.table.items():
+        want = sum(weights[i] for i in key)
+        coeffs = {k: c for k, c in v.coeffs.items() if weights[k] == want}
+        if coeffs:
+            table[key] = Vector(m.codomain, coeffs)
+    return MultilinearMap(m.spaces, m.codomain, table)
+
+
+def every_algebra(rng, space, bichar, tw, weights):
+    """(kind, bundle) of each algebra kind on space with twist tw, its
+    operations random tables kept to ``weights``; a module's algebra is
+    the Leibniz bundle it acts through, and a dialgebra needs a trivially
+    graded space."""
+    def op(arity):
+        return weighted(random_table(rng, (space,) * arity, space), weights)
+
+    out = [("nonassoc", NonAssocBundle(space, bichar, op(2), tw)),
+           ("akivis", AkivisBundle(space, bichar, op(2), op(3), tw)),
+           ("leibniz", LeibnizBundle(space, bichar, op(2), tw)),
+           ("nhlp", NHLPBundle(space, bichar, op(2), op(2), tw))]
+    if space.is_trivially_graded():
+        out.append(("dialgebra", DialgebraBundle(space, bichar, op(2), op(2), tw)))
+    mspace = GradedSpace.build(space.field, space.group, [("m0", space.degree(0).coords)])
+    module = ModuleBundle(LeibnizBundle(space, bichar, op(2), tw), mspace,
+                          MultilinearMap((space, mspace), mspace, {}),
+                          MultilinearMap((mspace, space), mspace, {}), EvenMap.identity(mspace))
+    return out + [("module", module.algebra)]
+
+
+@pytest.fixture
+def scanned(monkeypatch):
+    """The twist of every Vector endomorphism test is_multiplicative runs."""
+    tested = []
+    is_endomorphism = bundles.is_endomorphism
+    monkeypatch.setattr(bundles, "is_endomorphism",
+                        lambda f, ops: tested.append(f) or is_endomorphism(f, ops))
+    return tested
+
+
+# rational twist entries t**w: one, a sign, an integer, p/q with q > 1 and
+# a negative one, and zero (weight-0 entries stay 1)
+POWERS = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3), 0)
+
+
+@pytest.mark.parametrize("N,grading", [(1, "trivial"), (4, "z2xz2"), (12, "z4xz4"),
+                                       (4, "free2"), (12, "free2-zeta")])
+def test_closed_form_multiplicativity_matches_vector_test(scanned, N, grading):
+    """On rational diagonal twists of every algebra kind, bundles.is_multiplicative
+    decides on the compiled tables, with no Vector scan, what
+    linalg.is_endomorphism decides by evaluating: multiplicative twists
+    diag(t**w) of weighted operations and the same twists with one entry
+    moved, with zero, negative and fractional entries and twist
+    denominators above 1."""
+    rng = random.Random(f"multiplicative-{N}-{grading}")
+    space, bichar = setup(rng, N, grading, DIM[grading])
+    seen = set()
+    for _ in range(4):
+        weights = [rng.randrange(3) for _ in range(space.dim)]
+        for t in POWERS:
+            values = [Fraction(t) ** w for w in weights]
+            moved = list(values)
+            moved[rng.randrange(space.dim)] += rng.choice((-1, Fraction(1, 3)))
+            for entries in (values, moved):
+                tw = EvenMap.diagonal(space, entries)
+                for kind, b in every_algebra(rng, space, bichar, tw, weights):
+                    want = linalg.is_endomorphism(tw, b.ops())
+                    scanned.clear()
+                    assert bundles.is_multiplicative(b) is want, (kind, entries)
+                    assert scanned == []
+                    features = {kind, tables.table(tw).den > 1 and "den",
+                                0 in entries and "zero", min(entries) < 0 and "negative",
+                                any(Fraction(v).denominator > 1 for v in entries) and "p/q"}
+                    seen |= {(f, want) for f in features if f}
+    kinds = {"nonassoc", "akivis", "leibniz", "nhlp", "module"} | (
+        {"dialgebra"} if grading == "trivial" else set())
+    for feature in (*kinds, "den", "zero", "negative", "p/q"):
+        assert {(feature, True), (feature, False)} <= seen, feature
+
+
+def test_zeta_diagonal_twist_is_scanned_once(scanned):
+    """A diagonal twist with a zeta part, such as diag(1, zeta), keeps the
+    Vector test: one scan per bundle, stored, with the reference's answer."""
+    F = cyclotomic_field(4)
+    space, bichar = setup(random.Random("zeta-diagonal"), 4, "trivial", 2)
+    one = Scalar.one(F)
+    # [e0, e1] = e1 commutes with diag(1, zeta); [e1, e1] = e0 does not
+    for table, want in (({(0, 1): {1: one}}, True), ({(1, 1): {0: one}}, False)):
+        bracket = MultilinearMap.internal(
+            space, 2, {k: Vector(space, v) for k, v in table.items()})
+        b = LeibnizBundle(space, bichar, bracket, EvenMap.diagonal(space, [1, Scalar.root(F)]))
+        assert tables.table(b.twist).scales() is None
+        scanned.clear()
+        assert bundles.is_multiplicative(b) is want
+        assert bundles.is_multiplicative(b) is want  # stored
+        assert scanned == [b.twist]
+        assert linalg.is_endomorphism(b.twist, b.ops()) is want
 
 
 # ---------------------------------------------------------------------------

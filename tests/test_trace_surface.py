@@ -25,11 +25,16 @@ import tracing  # noqa: E402
 def test_full_check_under_spans_and_counters():
     # certify-dense's 06-leibniz-6 has a twist that is not diagonal, so its
     # endomorphism test adds Scalars; no fixture's full_check does: every
-    # fixture's twist is the identity, which is_multiplicative does not scan
+    # fixture's twist is the identity, which is_multiplicative decides on
+    # the tables.  refute-dense's 00-leibniz-6 has a diagonal twist with
+    # zeta entries, which keeps the Vector test and, alone, still gives
+    # every sampled layer work
     name, doc, _ = gen.certify_dense(0)[6]
     assert name == "06-leibniz-6"
+    refute_name, refute_doc, _ = gen.refute_dense(0)[0]
+    assert refute_name == "00-leibniz-6"
     bundles = [io.parse_document(d).bundle
-               for d in (fixture_document("nhlp-trivext-L2"), doc)]
+               for d in (fixture_document("nhlp-trivext-L2"), doc, refute_doc)]
     spans, counters = tracing.Spans(), tracing.Counters()
     spans.install()
     counters.install()
@@ -41,9 +46,17 @@ def test_full_check_under_spans_and_counters():
     assert all(results)
     names = {span[2] for span in spans.spans}
     assert {"io.full_check", "checkers.scan_identity"} <= names
-    # every fine layer the benchmark samples sees work
+    # every fine layer the benchmark samples sees work, and so it does in
+    # refute-dense's document alone
+    alone = tracing.Counters()
+    alone.install()
+    try:
+        io.full_check(io.parse_document(refute_doc).bundle)
+    finally:
+        alone.uninstall()
     for name in tracing.SAMPLED:
         assert counters.samples[name], name
+        assert alone.samples[name], name
 
 
 # one fixture per bundle kind; akivis-A is trivially graded and flexible,
